@@ -335,8 +335,9 @@ pub fn http_json_request(
     path: &str,
     body: Option<&Json>,
 ) -> io::Result<(u16, Json)> {
-    let (status, text) = http_text_request(addr, method, path, body)?;
-    let json = Json::parse(&text).map_err(|e| io::Error::other(format!("bad json body: {e}")))?;
+    let (status, bytes) = http_request(addr, method, path, body)?;
+    let json =
+        Json::parse_bytes(&bytes).map_err(|e| io::Error::other(format!("bad json body: {e}")))?;
     Ok((status, json))
 }
 
@@ -349,6 +350,18 @@ pub fn http_text_request(
     path: &str,
     body: Option<&Json>,
 ) -> io::Result<(u16, String)> {
+    let (status, bytes) = http_request(addr, method, path, body)?;
+    let text = String::from_utf8(bytes).map_err(|e| io::Error::other(format!("bad utf8: {e}")))?;
+    Ok((status, text))
+}
+
+/// One request/response exchange; returns the status and the raw body.
+fn http_request(
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: Option<&Json>,
+) -> io::Result<(u16, Vec<u8>)> {
     let stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(600)))?;
     stream.set_write_timeout(Some(Duration::from_secs(60)))?;
@@ -395,8 +408,7 @@ pub fn http_text_request(
             buf
         }
     };
-    let text = String::from_utf8(body).map_err(|e| io::Error::other(format!("bad utf8: {e}")))?;
-    Ok((status, text))
+    Ok((status, body))
 }
 
 /// Extracts `error.code` from an error response body, for messages.

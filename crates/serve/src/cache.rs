@@ -1,91 +1,114 @@
-//! Content-addressed result cache: one JSON document per grid cell,
-//! keyed by `fdip_harness::remote::cell_key` (FNV-1a over config hash,
-//! workload hash, seed, and instruction budget).
+//! Content-addressed result cache: one file per grid cell, keyed by
+//! `fdip_harness::remote::cell_key` (FNV-1a over config hash, workload
+//! hash, seed, and instruction budget).
 //!
-//! Entries are written atomically (`<key>.json.tmp` + rename) so a
-//! killed daemon never leaves a torn entry behind, and every read
-//! re-parses from disk — a corrupt file is simply a miss. The entry
-//! layout is specified in `docs/SERVE.md` §"Cache entries".
+//! An entry is four lines of compact JSON: a header naming the cell key
+//! and an FNV-1a digest of the served bytes, the cell's metadata, then
+//! `stats` and `dists` exactly as the grid response carries them. A read
+//! hands back those two lines verbatim, so serving a cached cell needs
+//! no JSON parse. Entries are written atomically (`<key>.json.tmp` +
+//! rename), so a killed daemon never leaves a torn entry behind, and
+//! every read checks the header against the requested key and the
+//! digest against the bytes: a mismatch, a truncated file, or a file in
+//! any other layout is a miss, never served. The layout is specified in
+//! `docs/SERVE.md` §"Cache entries".
 
-use std::collections::BTreeSet;
 use std::io;
+use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
+use fdip_harness::remote::fnv1a64;
 use fdip_telemetry::Json;
 
 /// An on-disk cell cache rooted at `<state_dir>/cache/`.
 #[derive(Debug)]
 pub struct Cache {
     dir: PathBuf,
-    index: Mutex<BTreeSet<String>>,
+}
+
+/// A verified cache entry: the file's text and where its served
+/// `stats` and `dists` lines sit in it.
+#[derive(Debug)]
+pub struct Entry {
+    text: String,
+    stats: Range<usize>,
+    dists: Range<usize>,
+}
+
+impl Entry {
+    /// The cell's `SimStats::to_json()`, compactly serialized.
+    pub fn stats(&self) -> &str {
+        &self.text[self.stats.clone()]
+    }
+
+    /// The cell's `SimDists::to_json()`, compactly serialized.
+    pub fn dists(&self) -> &str {
+        &self.text[self.dists.clone()]
+    }
+}
+
+/// The header line: the cell key and the digest of the served lines.
+fn header(key: &str, digest: u64) -> String {
+    Json::obj()
+        .with("cell", key)
+        .with("digest", format!("{digest:016x}"))
+        .to_string()
+}
+
+/// Splits `text` into its four lines and checks the header against
+/// `key` and the digest of the last two; `None` for anything else.
+fn verify(key: &str, text: String) -> Option<Entry> {
+    let (head, rest) = text.split_once('\n')?;
+    let (meta, served) = rest.split_once('\n')?;
+    if head != header(key, fnv1a64(served.as_bytes())) {
+        return None;
+    }
+    let (stats, dists) = served.strip_suffix('\n')?.split_once('\n')?;
+    if dists.contains('\n') {
+        return None;
+    }
+    let start = head.len() + 1 + meta.len() + 1;
+    let stats = start..start + stats.len();
+    let dists = stats.end + 1..stats.end + 1 + dists.len();
+    Some(Entry { text, stats, dists })
 }
 
 impl Cache {
-    /// Opens (creating if needed) the cache directory and indexes the
-    /// keys already present.
+    /// Opens (creating if needed) the cache directory.
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if the directory cannot be created or read.
+    /// Returns the I/O error if the directory cannot be created.
     pub fn open(dir: PathBuf) -> io::Result<Cache> {
         std::fs::create_dir_all(&dir)?;
-        let mut index = BTreeSet::new();
-        for entry in std::fs::read_dir(&dir)? {
-            let path = entry?.path();
-            if path.extension().is_some_and(|e| e == "json") {
-                if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
-                    index.insert(stem.to_string());
-                }
-            }
-        }
-        Ok(Cache {
-            dir,
-            index: Mutex::new(index),
-        })
+        Ok(Cache { dir })
     }
 
-    /// Number of cached cells.
-    pub fn len(&self) -> usize {
-        self.index.lock().expect("cache index lock").len()
-    }
-
-    /// Returns `true` if no cells are cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Returns `true` if `key` has a cached entry.
-    pub fn contains(&self, key: &str) -> bool {
-        self.index.lock().expect("cache index lock").contains(key)
-    }
-
-    /// Reads and parses the entry for `key`. Any read or parse failure
-    /// (including a file deleted out from under the index) is a miss.
-    pub fn get(&self, key: &str) -> Option<Json> {
-        if !self.contains(key) {
-            return None;
-        }
+    /// Reads and verifies the entry for `key`. A missing or unreadable
+    /// file, a header naming another key, a digest that does not match
+    /// the served bytes, or a file in any other layout is a miss.
+    pub fn get(&self, key: &str) -> Option<Entry> {
         let text = std::fs::read_to_string(self.dir.join(format!("{key}.json"))).ok()?;
-        Json::parse(&text).ok()
+        verify(key, text)
     }
 
-    /// Writes the entry for `key` atomically and indexes it.
+    /// Writes the entry for `key` atomically: its metadata object plus
+    /// the `stats` and `dists` documents the grid response will carry.
     ///
     /// # Errors
     ///
     /// Returns the I/O error if the entry cannot be written or renamed
-    /// into place; the index is only updated on success.
-    pub fn put(&self, key: &str, doc: &Json) -> io::Result<()> {
+    /// into place.
+    pub fn put(&self, key: &str, meta: &Json, stats: &Json, dists: &Json) -> io::Result<()> {
+        let served = format!("{}\n{}\n", stats.to_string(), dists.to_string());
+        let text = format!(
+            "{}\n{}\n{served}",
+            header(key, fnv1a64(served.as_bytes())),
+            meta.to_string()
+        );
         let tmp = self.dir.join(format!("{key}.json.tmp"));
-        let final_path = self.dir.join(format!("{key}.json"));
-        std::fs::write(&tmp, doc.to_string_pretty())?;
-        std::fs::rename(&tmp, &final_path)?;
-        self.index
-            .lock()
-            .expect("cache index lock")
-            .insert(key.to_string());
-        Ok(())
+        std::fs::write(&tmp, text)?;
+        std::fs::rename(&tmp, self.dir.join(format!("{key}.json")))
     }
 }
 
@@ -100,41 +123,66 @@ mod tests {
         dir
     }
 
+    fn stats() -> Json {
+        Json::obj().with("counters", Json::obj().with("cycles", 1667u64))
+    }
+
+    fn dists() -> Json {
+        Json::obj().with("sampled_ipc", Json::obj().with("mean", 1.25))
+    }
+
+    fn put(cache: &Cache, key: &str) {
+        let meta = Json::obj().with("cell", key).with("workload", "server_a");
+        cache.put(key, &meta, &stats(), &dists()).unwrap();
+    }
+
     #[test]
     fn put_get_round_trips_and_survives_reopen() {
         let dir = temp_dir("roundtrip");
         let cache = Cache::open(dir.clone()).unwrap();
-        assert!(cache.is_empty());
-        let doc = Json::obj().with("cell", "abc").with("value", 7u64);
-        cache.put("abc", &doc).unwrap();
-        assert!(cache.contains("abc"));
-        assert_eq!(cache.get("abc"), Some(doc.clone()));
-        assert_eq!(cache.get("missing"), None);
+        put(&cache, "abc");
+        let entry = cache.get("abc").expect("hit");
+        assert_eq!(entry.stats(), stats().to_string());
+        assert_eq!(entry.dists(), dists().to_string());
+        assert!(cache.get("missing").is_none());
         // A fresh Cache over the same directory sees the entry.
         let reopened = Cache::open(dir.clone()).unwrap();
-        assert_eq!(reopened.len(), 1);
-        assert_eq!(reopened.get("abc"), Some(doc));
+        assert_eq!(reopened.get("abc").expect("hit").stats(), entry.stats());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn corrupt_entry_reads_as_miss() {
-        let dir = temp_dir("corrupt");
+    fn damaged_or_foreign_entries_read_as_misses() {
+        let dir = temp_dir("damaged");
         let cache = Cache::open(dir.clone()).unwrap();
-        cache.put("bad", &Json::obj().with("x", 1u64)).unwrap();
-        std::fs::write(dir.join("bad.json"), "{not json").unwrap();
-        assert!(cache.contains("bad"));
-        assert_eq!(cache.get("bad"), None);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn tmp_files_are_not_indexed_on_open() {
-        let dir = temp_dir("tmpfiles");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("torn.json.tmp"), "{").unwrap();
-        let cache = Cache::open(dir.clone()).unwrap();
-        assert!(cache.is_empty());
+        put(&cache, "good");
+        let path = dir.join("good.json");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let edited = text.replace("1667", "1668");
+        assert_ne!(edited, text);
+        let old_layout = Json::obj()
+            .with("cell", "good")
+            .with("stats", stats())
+            .with("dists", dists())
+            .to_string_pretty();
+        for (what, damaged) in [
+            ("not json", "{not json".to_string()),
+            ("a served value edited", edited),
+            ("truncated", text[..text.len() - 5].to_string()),
+            ("trailing line", format!("{text}{{}}\n")),
+            ("the single-document layout", old_layout),
+        ] {
+            std::fs::write(&path, damaged).unwrap();
+            assert!(cache.get("good").is_none(), "{what} was served");
+        }
+        // A valid entry under another cell's name is a miss too.
+        put(&cache, "other");
+        std::fs::copy(dir.join("other.json"), &path).unwrap();
+        assert!(
+            cache.get("good").is_none(),
+            "another cell's entry was served"
+        );
+        assert!(cache.get("other").is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -82,10 +82,17 @@ impl Request {
 /// speaks Prometheus text exposition.
 #[derive(Clone, Debug)]
 pub enum Reply {
-    /// An `application/json` body.
-    Json(Json),
+    /// An `application/json` body, already serialized.
+    Json(String),
     /// A `text/plain; version=0.0.4` body (the exposition content type).
     Text(String),
+}
+
+impl From<Json> for Reply {
+    /// A compact `application/json` body.
+    fn from(body: Json) -> Reply {
+        Reply::Json(body.to_string())
+    }
 }
 
 fn reason(status: u16) -> &'static str {
@@ -174,9 +181,8 @@ pub fn read_request(
     let body = if buf.is_empty() {
         Json::Null
     } else {
-        let text = String::from_utf8(buf)
-            .map_err(|e| ServeError::bad_request(format!("body is not utf-8: {e}")))?;
-        Json::parse(&text).map_err(|e| ServeError::bad_request(format!("body is not json: {e}")))?
+        Json::parse_bytes(&buf)
+            .map_err(|e| ServeError::bad_request(format!("body is not json: {e}")))?
     };
     Ok(Request {
         method,
@@ -197,28 +203,23 @@ fn map_io(stage: &str, e: &io::Error) -> ServeError {
     }
 }
 
-/// Writes one HTTP/1.1 response with a compact JSON body and closes the
-/// exchange (`Connection: close`). Write errors are returned for logging
-/// only — the connection is torn down either way.
-pub fn write_response(stream: &mut TcpStream, status: u16, body: &Json) -> io::Result<()> {
-    write_reply(stream, status, &Reply::Json(body.clone()))
-}
-
-/// Writes one HTTP/1.1 response for either reply flavor and closes the
-/// exchange.
+/// Writes one HTTP/1.1 response, head and body in a single write, and
+/// closes the exchange (`Connection: close`). Write errors are returned
+/// for logging only — the connection is torn down either way.
 pub fn write_reply(stream: &mut TcpStream, status: u16, reply: &Reply) -> io::Result<()> {
     let (content_type, payload) = match reply {
-        Reply::Json(body) => ("application/json", body.to_string()),
-        Reply::Text(text) => ("text/plain; version=0.0.4", text.clone()),
+        Reply::Json(body) => ("application/json", body),
+        Reply::Text(text) => ("text/plain; version=0.0.4", text),
     };
-    let head = format!(
+    let mut response = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n",
         reason(status),
         payload.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(payload.as_bytes())?;
+    response.reserve_exact(payload.len());
+    response.push_str(payload);
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 

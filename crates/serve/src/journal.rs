@@ -2,24 +2,27 @@
 //! per record, so a daemon killed mid-grid can resume on restart
 //! without re-simulating completed cells.
 //!
-//! Three record kinds (`docs/SERVE.md` §"Checkpoint journal"):
+//! Two record kinds are written (`docs/SERVE.md` §"Checkpoint journal"):
 //!
 //! * `{"op": "grid_begin", "grid_id": …, "request": {…}}` — the full
-//!   grid request, written before any cell runs;
+//!   grid request, written before any cell runs, and only by a grid
+//!   that has a cell to simulate or wait on;
 //! * `{"op": "cell_done", "grid_id": …, "cell": …}` — a cell's result
-//!   has been committed to the cache;
-//! * `{"op": "grid_end", "grid_id": …}` — the grid's response was
-//!   assembled; the grid no longer needs replay.
+//!   has been committed to the cache.
 //!
-//! On open, the journal is replayed (grids with a `grid_end`, or whose
-//! begin record is unreadable, drop out; a torn final line from a kill
-//! mid-write is skipped) and compacted down to the begin records of the
-//! incomplete grids. Cell-level progress needs no replay bookkeeping:
-//! completed cells are found in the content-addressed cache.
+//! A grid's end removes its records: the log is compacted down to the
+//! begin records of the grids still open, and truncated when none is,
+//! so its size is bounded by the grids in flight, not by the grids
+//! served. On open, the journal is replayed (grids whose begin record
+//! is unreadable drop out, as do grids closed by a
+//! `{"op": "grid_end", "grid_id": …}` record; a torn final line from a
+//! kill mid-write is skipped) and compacted the same way. Cell-level
+//! progress needs no replay bookkeeping: completed cells are found in
+//! the content-addressed cache.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use fdip_telemetry::Json;
 
@@ -28,6 +31,9 @@ use fdip_telemetry::Json;
 pub struct Journal {
     path: PathBuf,
     file: File,
+    /// `(grid_id, begin record)` of every grid begun and not yet ended,
+    /// in begin order: exactly what a replay of the log would resume.
+    open: Vec<(String, String)>,
 }
 
 /// One incomplete grid recovered from the journal: its id and the full
@@ -54,17 +60,15 @@ impl Journal {
             Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
         };
-        // Compact: only the incomplete begin records survive the rewrite.
-        let tmp = path.with_extension("log.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            for inc in &incomplete {
-                writeln!(f, "{}", begin_record(&inc.grid_id, &inc.request))?;
-            }
-        }
-        std::fs::rename(&tmp, &path)?;
-        let file = OpenOptions::new().append(true).open(&path)?;
-        Ok((Journal { path, file }, incomplete))
+        let open: Vec<(String, String)> = incomplete
+            .iter()
+            .map(|inc| {
+                let record = begin_record(&inc.grid_id, &inc.request);
+                (inc.grid_id.clone(), record)
+            })
+            .collect();
+        let file = compact(&path, &open)?;
+        Ok((Journal { path, file, open }, incomplete))
     }
 
     /// Filesystem path of the log (for diagnostics).
@@ -78,8 +82,13 @@ impl Journal {
     ///
     /// Returns the I/O error if the record cannot be appended.
     pub fn grid_begin(&mut self, grid_id: &str, request: &Json) -> io::Result<()> {
-        writeln!(self.file, "{}", begin_record(grid_id, request))?;
-        self.file.flush()
+        let record = begin_record(grid_id, request);
+        writeln!(self.file, "{record}")?;
+        self.file.flush()?;
+        if !self.open.iter().any(|(id, _)| id == grid_id) {
+            self.open.push((grid_id.to_string(), record));
+        }
+        Ok(())
     }
 
     /// Records that one cell's result reached the cache.
@@ -96,16 +105,42 @@ impl Journal {
         self.file.flush()
     }
 
-    /// Records that a grid's response was fully assembled.
+    /// Records that a grid's response was fully assembled, by dropping
+    /// its records from the log: the log is rewritten to the begin
+    /// records of the grids still open, or truncated when none is. As in
+    /// a replay, one end closes every begin record of the grid id. A
+    /// grid that was never journaled (every cell a cache hit) leaves the
+    /// log alone.
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if the record cannot be appended.
+    /// Returns the I/O error if the log cannot be truncated or rewritten.
     pub fn grid_end(&mut self, grid_id: &str) -> io::Result<()> {
-        let rec = Json::obj().with("op", "grid_end").with("grid_id", grid_id);
-        writeln!(self.file, "{}", rec.to_string())?;
-        self.file.flush()
+        let before = self.open.len();
+        self.open.retain(|(id, _)| id != grid_id);
+        if self.open.len() == before {
+            return Ok(());
+        }
+        if self.open.is_empty() {
+            return self.file.set_len(0);
+        }
+        self.file = compact(&self.path, &self.open)?;
+        Ok(())
     }
+}
+
+/// Atomically replaces the log at `path` with the given begin records
+/// (`.log.tmp` + rename) and returns it reopened for appending.
+fn compact(path: &Path, open: &[(String, String)]) -> io::Result<File> {
+    let tmp = path.with_extension("log.tmp");
+    {
+        let mut f = File::create(&tmp)?;
+        for (_, record) in open {
+            writeln!(f, "{record}")?;
+        }
+    }
+    std::fs::rename(&tmp, path)?;
+    OpenOptions::new().append(true).open(path)
 }
 
 fn begin_record(grid_id: &str, request: &Json) -> String {
@@ -216,6 +251,47 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 1);
         assert!(text.contains("g2"));
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn ending_grids_keeps_only_the_open_begin_records() {
+        let path = temp_log("bounded");
+        let log = || std::fs::read_to_string(&path).unwrap();
+        let (mut j, _) = Journal::open(path.clone()).unwrap();
+        for _ in 0..3 {
+            j.grid_begin("g1", &req("a")).unwrap();
+            j.cell_done("g1", "cell1").unwrap();
+            j.grid_begin("g2", &req("b")).unwrap();
+            j.grid_end("g1").unwrap();
+            assert_eq!(log().lines().count(), 1);
+            assert!(log().contains("\"g2\""));
+            j.grid_end("g2").unwrap();
+            assert_eq!(log(), "");
+            // Ending a grid that was never journaled is a no-op.
+            j.grid_end("never-begun").unwrap();
+        }
+        // Records appended after a truncation replay as usual.
+        j.grid_begin("g3", &req("c")).unwrap();
+        drop(j);
+        let (_, inc) = Journal::open(path.clone()).unwrap();
+        assert_eq!(inc.len(), 1);
+        assert_eq!(inc[0].grid_id, "g3");
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn end_records_close_their_grid_on_replay() {
+        let path = temp_log("endrec");
+        std::fs::write(
+            &path,
+            "{\"op\":\"grid_begin\",\"grid_id\":\"g1\",\"request\":{}}\n\
+             {\"op\":\"grid_end\",\"grid_id\":\"g1\"}\n",
+        )
+        .unwrap();
+        let (_, inc) = Journal::open(path.clone()).unwrap();
+        assert!(inc.is_empty());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 

@@ -374,7 +374,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                     ("message", e.message.as_str().into()),
                 ],
             );
-            (e.status, Reply::Json(e.to_json()))
+            (e.status, Reply::from(e.to_json()))
         }
     };
     let micros = timer.elapsed_micros();
@@ -396,20 +396,20 @@ fn dispatch(shared: &Arc<Shared>, req: &Request) -> Result<Reply, ServeError> {
         ("POST", p) if p == GRID_PATH => {
             scheduler::handle_grid(shared, &req.body, false).map(Reply::Json)
         }
-        ("GET", p) if p == HEALTHZ_PATH => Ok(Reply::Json(
+        ("GET", p) if p == HEALTHZ_PATH => Ok(Reply::from(
             Json::obj()
                 .with("schema_version", SCHEMA_VERSION)
                 .with("ok", true),
         )),
-        ("GET", p) if p == PROGRESS_PATH => Ok(Reply::Json(progress_json(shared))),
-        ("GET", p) if p == TELEMETRY_PATH => Ok(Reply::Json(shared.telemetry.to_json())),
+        ("GET", p) if p == PROGRESS_PATH => Ok(Reply::from(progress_json(shared))),
+        ("GET", p) if p == TELEMETRY_PATH => Ok(Reply::from(shared.telemetry.to_json())),
         ("GET", p) if p == METRICS_PATH => Ok(Reply::Text(
             shared.telemetry.render_metrics(&shared.pool().stats()),
         )),
-        ("GET", p) if p == LOGS_PATH => Ok(Reply::Json(logs_json(req)?)),
+        ("GET", p) if p == LOGS_PATH => Ok(Reply::from(logs_json(req)?)),
         ("POST", p) if p == SHUTDOWN_PATH => {
             shared.begin_drain();
-            Ok(Reply::Json(
+            Ok(Reply::from(
                 Json::obj()
                     .with("schema_version", SCHEMA_VERSION)
                     .with("draining", true),

@@ -11,11 +11,14 @@
 //!   same [`fdip_sim::run_workload_job`] the local `Runner` uses, the
 //!   result is committed to the cache, and `cell_done` is journaled.
 //!
-//! The response is assembled *from the cache files*, never from
-//! in-memory results — so a fresh run, a 100%-hit replay, and a
-//! post-restart resume all serialize through the identical path and
-//! stay byte-identical.
+//! A cell is a hit only when the cache holds a verified entry for it
+//! (`cache.rs`); a damaged or foreign entry re-simulates. The response
+//! is assembled *from the cache files*, never from in-memory results:
+//! each cell's `stats` and `dists` lines are spliced into the reply as
+//! stored, so a fresh run, a 100%-hit replay, and a post-restart resume
+//! all serve the identical bytes.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -30,6 +33,7 @@ use fdip_obs::span::{SpanRecorder, Track};
 use fdip_sim::{run_workload_job, CoreConfig};
 use fdip_telemetry::{Json, ToJson, SCHEMA_VERSION};
 
+use crate::cache::Entry;
 use crate::http::ServeError;
 use crate::{BuiltWorkload, GridProgress, Shared, SlotState};
 
@@ -46,8 +50,15 @@ enum Plan {
     Own,
 }
 
-/// One grid position: `(cell key, config index, workload index, plan)`.
-type Cell = (String, usize, usize, Plan);
+/// One grid position.
+struct Cell {
+    key: String,
+    config: usize,
+    workload: usize,
+    plan: Plan,
+    /// The verified entry a hit is served from.
+    entry: Option<Entry>,
+}
 
 struct ValidGrid {
     client: String,
@@ -96,7 +107,7 @@ pub(crate) fn handle_grid(
     shared: &Arc<Shared>,
     body: &Json,
     resumed: bool,
-) -> Result<Json, ServeError> {
+) -> Result<String, ServeError> {
     let grid = validate(body)?;
     admit(shared, resumed)?;
     let guard = InflightGuard(shared);
@@ -110,7 +121,11 @@ pub(crate) fn handle_grid(
     let suite = suite_programs(shared, &grid.suite);
     let grid_id = grid_id(&grid);
 
-    if !resumed {
+    let classify_start = recorder.as_ref().map(|r| r.now_us());
+    let mut cells = lookup(shared, &grid, &suite);
+    // A grid the cache serves whole has nothing to resume: only a grid
+    // with a cell to simulate or wait on is journaled, before any runs.
+    if !resumed && cells.iter().any(|c| c.entry.is_none()) {
         shared
             .journal
             .lock()
@@ -118,12 +133,10 @@ pub(crate) fn handle_grid(
             .grid_begin(&grid_id, body)
             .map_err(|e| ServeError::new(500, "internal", format!("journal: {e}")))?;
     }
-
-    let classify_start = recorder.as_ref().map(|r| r.now_us());
-    let cells = classify(shared, &grid, &suite);
+    claim(shared, &mut cells);
     let total = cells.len() as u64;
-    let hits = cells.iter().filter(|c| c.3 == Plan::Hit).count() as u64;
-    let coalesced = cells.iter().filter(|c| c.3 == Plan::Coalesce).count() as u64;
+    let hits = cells.iter().filter(|c| c.plan == Plan::Hit).count() as u64;
+    let coalesced = cells.iter().filter(|c| c.plan == Plan::Coalesce).count() as u64;
     if let Some(r) = &recorder {
         r.slice(
             Track::Grid,
@@ -198,7 +211,7 @@ pub(crate) fn handle_grid(
     }
 
     let assemble_start = recorder.as_ref().map(|r| r.now_us());
-    let response = assemble(shared, &grid, &suite, &grid_id, &cells)?;
+    let response = assemble(shared, &grid, &suite, &grid_id, cells)?;
     if let Some(r) = &recorder {
         r.slice(
             Track::Grid,
@@ -377,11 +390,10 @@ fn grid_id(grid: &ValidGrid) -> String {
     format!("{:016x}", fnv1a64(canon.as_bytes()))
 }
 
-/// Resolves every grid position against the cache and the coalescing
-/// map, claiming `Own` slots atomically under one lock so no two grids
-/// (or duplicate positions within one grid) ever simulate the same key.
-fn classify(shared: &Shared, grid: &ValidGrid, suite: &[BuiltWorkload]) -> Vec<Cell> {
-    let mut slots = shared.slots.lock().expect("slot lock");
+/// Every grid position with its cell key and, when the cache holds a
+/// verified entry for it, that entry (planned as a hit, pending
+/// [`claim`]). The reads take no lock.
+fn lookup(shared: &Shared, grid: &ValidGrid, suite: &[BuiltWorkload]) -> Vec<Cell> {
     let mut cells = Vec::with_capacity(grid.cfgs.len() * suite.len());
     for ci in 0..grid.cfgs.len() {
         for (wi, (w, _, wl_hash)) in suite.iter().enumerate() {
@@ -392,22 +404,40 @@ fn classify(shared: &Shared, grid: &ValidGrid, suite: &[BuiltWorkload]) -> Vec<C
                 grid.warmup,
                 grid.measure,
             );
-            let plan = match slots.get(&key) {
-                Some(SlotState::Running) => Plan::Coalesce,
-                Some(SlotState::Done) => Plan::Hit,
-                Some(SlotState::Failed) | None => {
-                    if shared.cache.contains(&key) {
-                        Plan::Hit
-                    } else {
-                        slots.insert(key.clone(), SlotState::Running);
-                        Plan::Own
-                    }
-                }
-            };
-            cells.push((key, ci, wi, plan));
+            let entry = shared.cache.get(&key);
+            cells.push(Cell {
+                key,
+                config: ci,
+                workload: wi,
+                plan: Plan::Hit,
+                entry,
+            });
         }
     }
     cells
+}
+
+/// Resolves every looked-up position against the coalescing map,
+/// claiming `Own` slots atomically under one lock so no two grids (or
+/// duplicate positions within one grid) ever simulate the same key.
+fn claim(shared: &Shared, cells: &mut [Cell]) {
+    let mut slots = shared.slots.lock().expect("slot lock");
+    for cell in cells {
+        let state = slots.get(&cell.key).copied();
+        if state == Some(SlotState::Running) {
+            cell.plan = Plan::Coalesce;
+            cell.entry = None;
+            continue;
+        }
+        // A cell committed since the lookup reads as a hit now.
+        if cell.entry.is_none() && state == Some(SlotState::Done) {
+            cell.entry = shared.cache.get(&cell.key);
+        }
+        if cell.entry.is_none() {
+            slots.insert(cell.key.clone(), SlotState::Running);
+            cell.plan = Plan::Own;
+        }
+    }
 }
 
 /// Runs this grid's `Own` cells as one cancellable pool batch, guarded
@@ -422,7 +452,7 @@ fn run_owned(
     cells: &[Cell],
     recorder: Option<&Arc<SpanRecorder>>,
 ) -> Result<(), ServeError> {
-    let own: Vec<&Cell> = cells.iter().filter(|c| c.3 == Plan::Own).collect();
+    let own: Vec<&Cell> = cells.iter().filter(|c| c.plan == Plan::Own).collect();
     if own.is_empty() {
         return Ok(());
     }
@@ -434,18 +464,18 @@ fn run_owned(
         .insert(grid_id.to_string(), token.clone());
 
     let mut jobs = Vec::with_capacity(own.len());
-    for (key, ci, wi, _) in &own {
+    for cell in &own {
         let shared = Arc::clone(shared);
         let grid_id = grid_id.to_string();
-        let key = key.clone();
-        let cfg = grid.cfgs[*ci].clone();
-        let cfg_hash = grid.cfg_hashes[*ci];
-        let (w, program, wl_hash) = &suite[*wi];
+        let key = cell.key.clone();
+        let cfg = grid.cfgs[cell.config].clone();
+        let cfg_hash = grid.cfg_hashes[cell.config];
+        let (w, program, wl_hash) = &suite[cell.workload];
         let (workload, seed) = (w.name.clone(), w.params.seed);
         let (wl_hash, program) = (*wl_hash, Arc::clone(program));
         let (warmup, measure) = (grid.warmup, grid.measure);
         let recorder = recorder.map(Arc::clone);
-        let config_index = *ci;
+        let config_index = cell.config;
         jobs.push(move || {
             shared.telemetry.on_cell_sim_flight(1.0);
             let sim_start = recorder.as_ref().map(|r| r.now_us());
@@ -463,19 +493,19 @@ fn run_owned(
                 );
             }
             shared.telemetry.on_cell_sim_flight(-1.0);
-            let entry = Json::obj()
+            let meta = Json::obj()
                 .with("schema_version", SCHEMA_VERSION)
-                .with("cell", key.as_str())
                 .with("config_hash", format!("{cfg_hash:016x}"))
                 .with("workload_hash", format!("{wl_hash:016x}"))
                 .with("workload", workload.as_str())
                 .with("seed", seed)
                 .with("warmup_instrs", warmup)
                 .with("measure_instrs", measure)
-                .with("config", config_to_json(&cfg))
-                .with("stats", stats.to_json())
-                .with("dists", dists.to_json());
-            let committed = shared.cache.put(&key, &entry).is_ok();
+                .with("config", config_to_json(&cfg));
+            let committed = shared
+                .cache
+                .put(&key, &meta, &stats.to_json(), &dists.to_json())
+                .is_ok();
             if committed {
                 let _ = shared
                     .journal
@@ -535,13 +565,13 @@ fn run_owned(
     // Cells the cancellation skipped never ran their closure, so their
     // slots are still Running: fail them so coalesced waiters unblock.
     let mut ok = true;
-    for ((key, _, _, _), result) in own.iter().zip(&results) {
+    for (cell, result) in own.iter().zip(&results) {
         match result {
             Some(true) => {}
             Some(false) => ok = false,
             None => {
                 ok = false;
-                set_slot(shared, key, SlotState::Failed);
+                set_slot(shared, &cell.key, SlotState::Failed);
             }
         }
     }
@@ -582,12 +612,12 @@ fn set_slot(shared: &Shared, key: &str, state: SlotState) {
 fn wait_coalesced(shared: &Shared, cells: &[Cell]) -> bool {
     let mut ok = true;
     let mut slots = shared.slots.lock().expect("slot lock");
-    for (key, _, _, plan) in cells {
-        if *plan != Plan::Coalesce {
+    for cell in cells {
+        if cell.plan != Plan::Coalesce {
             continue;
         }
         loop {
-            match slots.get(key) {
+            match slots.get(&cell.key) {
                 Some(SlotState::Done) | None => break,
                 Some(SlotState::Failed) => {
                     ok = false;
@@ -623,63 +653,70 @@ fn finish_interrupted(shared: &Shared, grid_id: &str, recorder: Option<&Arc<Span
     write_trace(shared, recorder, grid_id);
 }
 
-/// Assembles the grid response by re-reading every cell from the cache
-/// — the single serialization path shared by fresh, cached, coalesced,
-/// and resumed cells.
+/// Assembles the grid response body from the cache: each cell's stored
+/// `stats` and `dists` lines are spliced in verbatim — hits from the
+/// entries [`lookup`] verified, simulated and coalesced cells re-read
+/// now — around an envelope written exactly as `Json::to_string` writes
+/// the documented response object.
 fn assemble(
     shared: &Shared,
     grid: &ValidGrid,
     suite: &[BuiltWorkload],
     grid_id: &str,
-    cells: &[Cell],
-) -> Result<Json, ServeError> {
-    let mut out = Vec::with_capacity(cells.len());
-    let mut simulated = 0u64;
-    for (key, ci, wi, plan) in cells {
-        let entry = shared.cache.get(key).ok_or_else(|| {
-            ServeError::new(
-                500,
-                "internal",
-                format!("cache entry {key} vanished before assembly"),
-            )
-        })?;
-        let stats = entry.get("stats").cloned().unwrap_or(Json::Null);
-        let dists = entry.get("dists").cloned().unwrap_or(Json::Null);
-        if stats == Json::Null || dists == Json::Null {
-            return Err(ServeError::new(
-                500,
-                "internal",
-                format!("cache entry {key} is missing stats/dists"),
-            ));
+    cells: Vec<Cell>,
+) -> Result<String, ServeError> {
+    let total = cells.len();
+    let count = |plan| cells.iter().filter(|c| c.plan == plan).count();
+    let (hits, simulated, coalesced) = (count(Plan::Hit), count(Plan::Own), count(Plan::Coalesce));
+    let mut served = Vec::with_capacity(total);
+    for mut cell in cells {
+        let entry = match cell.entry.take() {
+            Some(entry) => entry,
+            None => shared.cache.get(&cell.key).ok_or_else(|| {
+                ServeError::new(
+                    500,
+                    "internal",
+                    format!("cache entry {} vanished before assembly", cell.key),
+                )
+            })?,
+        };
+        served.push((cell, entry));
+    }
+    let body_len: usize = served
+        .iter()
+        .map(|(_, e)| e.stats().len() + e.dists().len() + 128)
+        .sum();
+    let mut out = String::with_capacity(body_len + 256);
+    // `write!` into a `String` cannot fail.
+    let _ = write!(out, "{{\"schema_version\":{SCHEMA_VERSION},\"grid_id\":");
+    Json::write_escaped(&mut out, grid_id);
+    out.push_str(",\"suite\":");
+    Json::write_escaped(&mut out, &grid.suite);
+    let _ = write!(
+        out,
+        ",\"warmup_instrs\":{},\"measure_instrs\":{},\"cells\":[",
+        grid.warmup, grid.measure
+    );
+    for (i, (cell, entry)) in served.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        if *plan == Plan::Own {
-            simulated += 1;
-        }
-        out.push(
-            Json::obj()
-                .with("cell", key.as_str())
-                .with("config_index", *ci as u64)
-                .with("workload", suite[*wi].0.name.as_str())
-                .with("cache_hit", *plan == Plan::Hit)
-                .with("stats", stats)
-                .with("dists", dists),
+        out.push_str("{\"cell\":");
+        Json::write_escaped(&mut out, &cell.key);
+        let _ = write!(out, ",\"config_index\":{},\"workload\":", cell.config);
+        Json::write_escaped(&mut out, &suite[cell.workload].0.name);
+        let _ = write!(
+            out,
+            ",\"cache_hit\":{},\"stats\":{},\"dists\":{}}}",
+            cell.plan == Plan::Hit,
+            entry.stats(),
+            entry.dists()
         );
     }
-    let hits = cells.iter().filter(|c| c.3 == Plan::Hit).count() as u64;
-    let coalesced = cells.iter().filter(|c| c.3 == Plan::Coalesce).count() as u64;
-    Ok(Json::obj()
-        .with("schema_version", SCHEMA_VERSION)
-        .with("grid_id", grid_id)
-        .with("suite", grid.suite.as_str())
-        .with("warmup_instrs", grid.warmup)
-        .with("measure_instrs", grid.measure)
-        .with("cells", Json::Arr(out))
-        .with(
-            "summary",
-            Json::obj()
-                .with("total_cells", cells.len() as u64)
-                .with("cache_hits", hits)
-                .with("simulated", simulated)
-                .with("coalesced", coalesced),
-        ))
+    let _ = write!(
+        out,
+        "],\"summary\":{{\"total_cells\":{total},\"cache_hits\":{hits},\
+         \"simulated\":{simulated},\"coalesced\":{coalesced}}}}}"
+    );
+    Ok(out)
 }

@@ -7,7 +7,7 @@
 //! passing through `f64`. Objects preserve insertion order, which keeps
 //! emitted files diffable and lets tests walk the schema deterministically.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -152,26 +152,55 @@ impl Json {
         out
     }
 
+    /// Appends `s` to `out` as a JSON string literal, escaped exactly as
+    /// the writer escapes every string value and key — for callers that
+    /// splice already-serialized JSON into a document of their own.
+    pub fn write_escaped(out: &mut String, s: &str) {
+        out.push('"');
+        if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+            out.push_str(s);
+            out.push('"');
+            return;
+        }
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{8}' => out.push_str("\\b"),
+                '\u{c}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str("\\u");
+                    push_display(out, format_args!("{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Int(i) => out.push_str(&i.to_string()),
+            Json::Int(i) => push_display(out, i),
             Json::Num(v) => {
                 if v.is_finite() {
                     // `{}` on f64 is the shortest round-trip form; force a
                     // decimal point so the value parses back as Num.
-                    let s = v.to_string();
-                    out.push_str(&s);
-                    if !s.contains(['.', 'e', 'E']) {
+                    let start = out.len();
+                    push_display(out, v);
+                    if !out[start..].contains(['.', 'e', 'E']) {
                         out.push_str(".0");
                     }
                 } else {
                     out.push_str("null");
                 }
             }
-            Json::Str(s) => write_escaped(out, s),
+            Json::Str(s) => Json::write_escaped(out, s),
             Json::Arr(items) => {
                 write_seq(out, indent, depth, '[', ']', items.len(), |out, i, d| {
                     items[i].write(out, indent, d);
@@ -180,7 +209,7 @@ impl Json {
             Json::Obj(fields) => {
                 write_seq(out, indent, depth, '{', '}', fields.len(), |out, i, d| {
                     let (k, v) = &fields[i];
-                    write_escaped(out, k);
+                    Json::write_escaped(out, k);
                     out.push(':');
                     if indent.is_some() {
                         out.push(' ');
@@ -197,9 +226,23 @@ impl Json {
     ///
     /// Returns a [`JsonError`] with a byte offset on malformed input.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
+        Json::parse_bytes(input.as_bytes())
+    }
+
+    /// Parses a JSON document from raw bytes, validating UTF-8 inside
+    /// strings as it goes (every byte outside a string must be ASCII
+    /// syntax anyway), so a body read off the wire needs no separate
+    /// UTF-8 pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] with a byte offset on malformed input,
+    /// including invalid UTF-8 inside a string.
+    pub fn parse_bytes(input: &[u8]) -> Result<Json, JsonError> {
         let mut p = Parser {
-            bytes: input.as_bytes(),
+            bytes: input,
             pos: 0,
+            fields: Vec::new(),
         };
         p.skip_ws();
         let v = p.value()?;
@@ -246,24 +289,11 @@ fn write_seq(
     out.push(close);
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// Appends `v`'s `Display` form to `out` without a temporary `String`.
+fn push_display(out: &mut String, v: impl fmt::Display) {
+    // Formatting into a `String` never fails: its `fmt::Write` impl is
+    // infallible and the std number formatters return no errors.
+    let _ = write!(out, "{v}");
 }
 
 impl From<bool> for Json {
@@ -330,6 +360,10 @@ impl<T: Into<Json>> From<Option<T>> for Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Fields of the objects being parsed, innermost last: each object
+    /// moves its own off the top when it closes, into a `Vec` of exactly
+    /// their number, instead of growing a `Vec` of its own field by field.
+    fields: Vec<(String, Json)>,
 }
 
 impl Parser<'_> {
@@ -407,12 +441,12 @@ impl Parser<'_> {
 
     fn object(&mut self) -> Result<Json, JsonError> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(fields));
+            return Ok(Json::Obj(Vec::new()));
         }
+        let base = self.fields.len();
         loop {
             self.skip_ws();
             let key = self.string()?;
@@ -420,13 +454,13 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            fields.push((key, value));
+            self.fields.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(fields));
+                    return Ok(Json::Obj(self.fields.split_off(base)));
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
@@ -437,73 +471,63 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one step,
+            // validating its UTF-8 once. An invalid sequence is reported
+            // one byte past its start, where a char-by-char decode stops.
+            let start = self.pos;
+            let rest = self.bytes.get(start..).unwrap_or_default();
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            match std::str::from_utf8(&rest[..run]) {
+                Ok(text) => out.push_str(text),
+                Err(e) => {
+                    self.pos = start + e.valid_up_to() + 1;
+                    return Err(self.err("invalid UTF-8"));
+                }
+            }
+            self.pos = start + run;
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let code = if (0xd800..0xdc00).contains(&hi) {
-                                // Surrogate pair.
-                                self.expect(b'\\')?;
-                                self.expect(b'u')?;
-                                let lo = self.hex4()?;
-                                if !(0xdc00..0xe000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
-                            } else {
-                                hi
-                            };
-                            match char::from_u32(code) {
-                                Some(c) => out.push(c),
-                                None => return Err(self.err("invalid unicode escape")),
-                            }
+            if b == b'"' {
+                return Ok(out);
+            }
+            let Some(esc) = self.peek() else {
+                return Err(self.err("unterminated escape"));
+            };
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hi = self.hex4()?;
+                    let code = if (0xd800..0xdc00).contains(&hi) {
+                        // Surrogate pair.
+                        self.expect(b'\\')?;
+                        self.expect(b'u')?;
+                        let lo = self.hex4()?;
+                        if !(0xdc00..0xe000).contains(&lo) {
+                            return Err(self.err("invalid low surrogate"));
                         }
-                        _ => return Err(self.err("invalid escape")),
+                        0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
+                    } else {
+                        hi
+                    };
+                    match char::from_u32(code) {
+                        Some(c) => out.push(c),
+                        None => return Err(self.err("invalid unicode escape")),
                     }
                 }
-                _ => {
-                    // Continue a UTF-8 sequence: step back and decode one
-                    // char from a 4-byte window (a UTF-8 sequence is at
-                    // most 4 bytes; validating the whole remaining input
-                    // per character would be quadratic in document size).
-                    let start = self.pos - 1;
-                    let end = self.bytes.len().min(start + 4);
-                    let window = &self.bytes[start..end];
-                    let c = match std::str::from_utf8(window) {
-                        Ok(s) => s.chars().next().expect("non-empty"),
-                        // A later char in the window may be cut off by
-                        // the window edge; the valid prefix still holds
-                        // the char we want.
-                        Err(e) if e.valid_up_to() > 0 => {
-                            std::str::from_utf8(&window[..e.valid_up_to()])
-                                .expect("validated prefix")
-                                .chars()
-                                .next()
-                                .expect("non-empty")
-                        }
-                        Err(_) => return Err(self.err("invalid UTF-8")),
-                    };
-                    out.push(c);
-                    self.pos = start + c.len_utf8();
-                }
+                _ => return Err(self.err("invalid escape")),
             }
         }
     }
@@ -528,10 +552,14 @@ impl Parser<'_> {
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+        let (mut int, mut digits) = (0i64, 0usize);
+        while let Some(d) = self.peek().filter(u8::is_ascii_digit) {
+            int = int.wrapping_mul(10).wrapping_add(i64::from(d - b'0'));
+            digits += 1;
             self.pos += 1;
         }
         let mut is_float = false;
@@ -551,6 +579,10 @@ impl Parser<'_> {
             while self.peek().is_some_and(|b| b.is_ascii_digit()) {
                 self.pos += 1;
             }
+        }
+        // At most 18 digits cannot overflow an i64.
+        if !is_float && (1..=18).contains(&digits) {
+            return Ok(Json::Int(if negative { -int } else { int }));
         }
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
@@ -667,6 +699,81 @@ mod tests {
             let e = Json::parse(bad).expect_err(bad);
             assert!(e.offset <= bad.len());
         }
+        // Errors inside a string that follow a run of plain ASCII keep
+        // the offsets a char-by-char decode reports: the end of input
+        // for an unterminated string or escape, one byte past the start
+        // of an invalid UTF-8 sequence.
+        let run = "a".repeat(40);
+        let cases: [(Vec<u8>, usize, &str); 6] = [
+            (format!("\"{run}").into_bytes(), 41, "unterminated string"),
+            (
+                format!("[\"{run}\\").into_bytes(),
+                43,
+                "unterminated escape",
+            ),
+            (
+                [b"\"", run.as_bytes(), b"\xff\""].concat(),
+                42,
+                "invalid UTF-8",
+            ),
+            (
+                [b"{\"", run.as_bytes(), b"\xe2\x82"].concat(),
+                43,
+                "invalid UTF-8",
+            ),
+            (
+                [b"\"", run.as_bytes(), "é".as_bytes(), b"\x80\""].concat(),
+                44,
+                "invalid UTF-8",
+            ),
+            (
+                [b"\"", run.as_bytes(), b"\\n\xc3\x28\""].concat(),
+                44,
+                "invalid UTF-8",
+            ),
+        ];
+        for (bad, offset, message) in cases {
+            let e = Json::parse_bytes(&bad).expect_err(message);
+            assert_eq!((e.offset, e.message.as_str()), (offset, message), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn a_real_simulation_cell_round_trips_byte_for_byte() {
+        // `SimStats::to_json()` and `SimDists::to_json()` of one quick-suite
+        // cell, as the serve cache stores and the client receives them.
+        let text = include_str!("testdata/cell.json").trim_end();
+        let cell = Json::parse(text).unwrap();
+        assert_eq!(cell.to_string(), text);
+        assert!(cell.get("stats").and_then(|s| s.get("counters")).is_some());
+        assert!(cell
+            .get("dists")
+            .and_then(|d| d.get("sampled_ipc"))
+            .is_some());
+        let pretty = cell.to_string_pretty();
+        assert_eq!(Json::parse(&pretty).unwrap().to_string_pretty(), pretty);
+        assert_eq!(Json::parse_bytes(pretty.as_bytes()).unwrap(), cell);
+    }
+
+    #[test]
+    fn strings_mixing_ascii_runs_escapes_and_multibyte_round_trip() {
+        let run = "x".repeat(48);
+        // Multibyte chars at both edges of every ASCII run, next to and
+        // between escapes, and as the first and last char of a string.
+        let texts = [
+            format!("\"é{run}🚀\""),
+            format!("\"{run}\\\"ü\\\\{run}\\n\""),
+            format!("\"🚀\\t{run}\\u0001€\\u001f{run}ß\""),
+            format!("{{\"{run}é\":\"\\r\\b\\f/{run}\",\"ключ\":[\"{run}\",\"日本\"]}}"),
+        ];
+        for text in &texts {
+            let v = Json::parse(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(&v.to_string(), text);
+        }
+        assert_eq!(
+            Json::parse(&texts[1]).unwrap(),
+            Json::Str(format!("{run}\"ü\\{run}\n"))
+        );
     }
 
     #[test]

@@ -90,8 +90,11 @@ echo "==> serve smoke: served sweep == local sweep, then 100% cache hits"
 # (docs/OBSERVABILITY.md) — run the same quick sweep as the determinism
 # smoke through it, and require the stripped results to be byte-identical
 # to the local run above (docs/SERVE.md "Determinism guarantee"). A
-# second served pass must hit only the cache, and the daemon must drain
-# cleanly on ctl shutdown.
+# second served pass must hit only the cache. Then one stats value in a
+# cache entry is edited so every line still parses: the third pass must
+# treat that entry as a miss (docs/SERVE.md "Cache entries"), simulate
+# exactly that one cell again, and still match the local run. The daemon
+# must drain cleanly on ctl shutdown and leave an empty journal.
 ./target/release/fdip-serve --addr 127.0.0.1:0 --state-dir "$tmp/serve-state" \
   --log debug --log-file "$tmp/serve-file.log" --trace-dir "$tmp/serve-traces" \
   --port-file "$tmp/serve.addr" > "$tmp/serve.log" 2>&1 &
@@ -101,14 +104,35 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 addr="$(cat "$tmp/serve.addr")"
-for pass in 1 2; do
+served_pass() {
   FDIP_SUITE=quick FDIP_WARMUP=2000 FDIP_INSTRS=10000 \
     ./target/release/fdip-experiments --server "$addr" \
-    --json "$tmp/served$pass.json" fig7 fig9 > /dev/null
+    --json "$tmp/served$1.json" fig7 fig9 > /dev/null
   cargo run -q --release --offline --example strip_results -- \
-    "$tmp/served$pass.json" > "$tmp/served$pass.stripped.json"
-  diff -u "$tmp/j1.stripped.json" "$tmp/served$pass.stripped.json"
+    "$tmp/served$1.json" > "$tmp/served$1.stripped.json"
+  diff -u "$tmp/j1.stripped.json" "$tmp/served$1.stripped.json"
+}
+cells_simulated() {
+  ./target/release/fdip-serve ctl "$addr" metrics \
+    | awk '$1 == "fdip_serve_cells_simulated_total" { print $2 }'
+}
+for pass in 1 2; do
+  served_pass "$pass"
 done
+entry="$(ls "$tmp"/serve-state/cache/*.json | head -n 1)"
+cp "$entry" "$tmp/entry.orig"
+sed -i '3s/^{"counters":{"cycles":\([0-9]\)/{"counters":{"cycles":1\1/' "$entry"
+if cmp -s "$entry" "$tmp/entry.orig"; then
+  echo "could not edit a stats value in $entry" >&2
+  exit 1
+fi
+before="$(cells_simulated)"
+served_pass 3
+after="$(cells_simulated)"
+if [ "$after" -ne $((before + 1)) ]; then
+  echo "edited cache entry: cells_simulated went $before -> $after, want +1" >&2
+  exit 1
+fi
 ./target/release/fdip-serve ctl "$addr" telemetry > "$tmp/serve-telemetry.json"
 grep -q '"cache_hits"' "$tmp/serve-telemetry.json"
 # Observability smoke (docs/OBSERVABILITY.md "Enforcement"): ctl metrics
@@ -130,7 +154,13 @@ grep -q '"traceEvents"' "$tmp"/serve-traces/grid-*.json
 grep -q '"msg":"daemon started"' "$tmp/serve-file.log"
 ./target/release/fdip-serve ctl "$addr" shutdown > /dev/null
 wait "$serve_pid"
-echo "    served results byte-identical to local; obs surfaces live; daemon drained"
+test -f "$tmp/serve-state/journal.log"
+if [ -s "$tmp/serve-state/journal.log" ]; then
+  echo "journal.log is not empty after the daemon drained" >&2
+  exit 1
+fi
+echo "    served results byte-identical to local; edited entry re-simulated;"
+echo "    obs surfaces live; daemon drained with an empty journal"
 
 echo "==> fuzz smoke: differential invariants, report determinism, injection"
 # The fuzz gate (docs/FUZZ.md): a fixed-seed campaign must pass every

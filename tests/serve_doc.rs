@@ -68,6 +68,28 @@ fn assert_documented(emitted: &Json, context: &str) {
     );
 }
 
+/// The fields named in the first column of the tables in
+/// docs/SERVE.md §"Cache entries".
+fn documented_entry_fields() -> BTreeSet<String> {
+    let doc = serve_doc();
+    let start = doc.find("### Cache entries").expect("§Cache entries");
+    let section = &doc[start..];
+    let end = section[1..].find("\n#").map_or(section.len(), |i| i + 1);
+    section[..end]
+        .lines()
+        .filter(|row| row.starts_with("| `"))
+        .flat_map(|row| {
+            let first = row.split('|').nth(1).unwrap_or_default();
+            first
+                .split('`')
+                .skip(1)
+                .step_by(2)
+                .map(str::to_string)
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
 fn state_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fdip-serve-doc-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -113,7 +135,9 @@ fn every_wire_key_is_documented() {
         assert_documented(&body, context);
     }
 
-    // On-disk cache entries are an on-disk format: documented too.
+    // On-disk cache entries are an on-disk format, documented both ways:
+    // the header and metadata lines carry exactly the fields
+    // §"Cache entries" lists, and every nested key is documented.
     let cache_dir = dir.join("cache");
     let entry_path = std::fs::read_dir(&cache_dir)
         .expect("cache dir")
@@ -121,8 +145,52 @@ fn every_wire_key_is_documented() {
         .map(|e| e.path())
         .find(|p| p.extension().is_some_and(|e| e == "json"))
         .expect("at least one cache entry");
-    let entry = Json::parse(&std::fs::read_to_string(entry_path).unwrap()).expect("entry parses");
-    assert_documented(&entry, "cache entry");
+    let text = std::fs::read_to_string(entry_path).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 4, "an entry is four lines: {text}");
+    let parsed: Vec<Json> = lines
+        .iter()
+        .map(|line| Json::parse(line).expect("entry line parses"))
+        .collect();
+    for line in &parsed {
+        assert_documented(line, "cache entry");
+    }
+    let on_disk: BTreeSet<String> = parsed[..2]
+        .iter()
+        .flat_map(|line| line.as_obj().expect("object line").iter())
+        .map(|(k, _)| k.clone())
+        .collect();
+    assert_eq!(
+        on_disk,
+        documented_entry_fields(),
+        "cache entry header/metadata fields vs docs/SERVE.md §\"Cache entries\""
+    );
+    // The digest covers the stats and dists lines, which are the bytes
+    // the response served for that cell.
+    let served = &text[lines[0].len() + lines[1].len() + 2..];
+    let digest = format!("{:016x}", fnv1a64(served.as_bytes()));
+    assert_eq!(
+        parsed[0].get("digest").and_then(Json::as_str),
+        Some(digest.as_str())
+    );
+    let key = parsed[0].get("cell").and_then(Json::as_str).expect("cell");
+    let cell = response
+        .get("cells")
+        .and_then(Json::as_arr)
+        .and_then(|cells| {
+            cells
+                .iter()
+                .find(|c| c.get("cell").and_then(Json::as_str) == Some(key))
+        })
+        .expect("the entry's cell is in the response");
+    assert_eq!(
+        cell.get("stats").map(Json::to_string).as_deref(),
+        Some(lines[2])
+    );
+    assert_eq!(
+        cell.get("dists").map(Json::to_string).as_deref(),
+        Some(lines[3])
+    );
 
     // Shutdown response, and the drain it documents.
     let (status, body) = http_json_request(&addr, "POST", SHUTDOWN_PATH, None).expect("shutdown");
