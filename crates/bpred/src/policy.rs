@@ -125,7 +125,7 @@ mod tests {
 
     #[test]
     fn labels_are_unique() {
-        let labels: std::collections::HashSet<&str> =
+        let labels: std::collections::BTreeSet<&str> =
             HistoryPolicy::ALL.iter().map(|p| p.label()).collect();
         assert_eq!(labels.len(), 6);
         assert_eq!(HistoryPolicy::Thr.to_string(), "THR");

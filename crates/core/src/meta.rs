@@ -17,6 +17,15 @@
 //! property bits, so configurations with `perfect_btb` derive their
 //! lookup lazily from here instead of re-walking the behaviour models.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use fdip_program::{BranchBehavior, Program};
 use fdip_types::{Addr, BranchKind, InstrKind, OpClass, CACHE_LINE_BYTES, INSTR_BYTES};
 

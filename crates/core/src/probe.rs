@@ -13,6 +13,15 @@
 //! Memory is capped at construction: `capacity` slots of 16 bytes, no
 //! rehashing, no heap traffic after `new`.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use fdip_types::Cycle;
 
 /// Sentinel key marking an empty slot (line numbers are byte addresses

@@ -11,6 +11,15 @@
 //! committed stream tags on-path work and supplies resolution outcomes
 //! (see `DESIGN.md` §4).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::backend::{DataAddressGen, FetchedInstr, RobEntry, UnresolvedBranch};
 use crate::config::CoreConfig;
 use crate::dists::SimDists;
@@ -1234,7 +1243,7 @@ pub fn run_workload_job(
 
 /// Compile-time proof that everything a pool job captures or returns can
 /// cross threads.
-#[allow(dead_code)]
+#[allow(dead_code, reason = "a compile-time check; never called")]
 fn assert_run_entry_points_are_send() {
     fn check<T: Send + Sync>() {}
     check::<CoreConfig>();

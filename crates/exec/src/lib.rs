@@ -1,5 +1,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "Instant times jobs for pool telemetry (busy_fraction, jobs_per_sec), \
+              which is stripped before every determinism diff"
+)]
 //! `fdip-exec` — the bounded work-stealing job pool behind every
 //! simulation sweep.
 //!
@@ -61,6 +66,8 @@ struct State {
     pending: usize,
     /// Set once by `Drop`; workers exit after draining their queues.
     shutdown: bool,
+    /// Injector depth observed at each job submission.
+    queue_depth: Histogram,
 }
 
 /// Aggregate telemetry counters (lock-free where recorded per job).
@@ -86,8 +93,6 @@ struct Shared {
     /// Jobs executed by each worker (indexed like `stripes`); sums to
     /// `counters.jobs_completed` when the pool is quiescent.
     worker_jobs: Vec<AtomicU64>,
-    /// Injector depth observed at each job submission.
-    queue_depth: Mutex<Histogram>,
 }
 
 impl Shared {
@@ -109,7 +114,7 @@ impl Shared {
             let victim = (id + k) % n;
             if let Some(job) = lock(&self.stripes[victim]).pop_front() {
                 lock(&self.state).pending -= 1;
-                // Advisory tally like busy_now (allowlisted Relaxed).
+                // Advisory tally like busy_now (Relaxed is sound, see `execute`).
                 self.counters.steals.fetch_add(1, Ordering::Relaxed);
                 return Some(job);
             }
@@ -123,19 +128,14 @@ impl Shared {
             if let Some(job) = self.try_take(id) {
                 return Some(job);
             }
-            let mut st = lock(&self.state);
-            loop {
-                if st.pending > 0 {
-                    break; // rescan the queues
-                }
-                if st.shutdown {
-                    return None;
-                }
-                st = self
-                    .work_cv
-                    .wait(st)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let st = self
+                .work_cv
+                .wait_while(lock(&self.state), |st| st.pending == 0 && !st.shutdown)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            if st.pending == 0 {
+                return None; // shut down and drained
             }
+            // Otherwise rescan the queues.
         }
     }
 
@@ -146,9 +146,9 @@ impl Shared {
     fn execute(&self, id: usize, job: Job) {
         // busy_now/peak_busy/worker_jobs are advisory occupancy gauges:
         // no reader derives a happens-before edge from them, so Relaxed
-        // is sound (allowlisted in lint-allow.txt). worker_jobs counts
-        // before the job runs, so the batch wrapper's Release increment
-        // of jobs_completed orders it for any Acquire reader.
+        // is sound. worker_jobs counts before the job runs, so the batch
+        // wrapper's Release increment of jobs_completed orders it for any
+        // Acquire reader.
         self.worker_jobs[id].fetch_add(1, Ordering::Relaxed);
         let busy = self.counters.busy_now.fetch_add(1, Ordering::Relaxed) + 1;
         self.counters.peak_busy.fetch_max(busy, Ordering::Relaxed);
@@ -225,12 +225,12 @@ impl Pool {
                 injector: VecDeque::new(),
                 pending: 0,
                 shutdown: false,
+                queue_depth: Histogram::new(),
             }),
             work_cv: Condvar::new(),
             stripes: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
             counters: Counters::default(),
             worker_jobs: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-            queue_depth: Mutex::new(Histogram::new()),
         });
         let workers = (0..threads)
             .map(|id| {
@@ -289,9 +289,9 @@ impl Pool {
         });
         {
             let mut st = lock(&self.shared.state);
-            let mut depth_hist = lock(&self.shared.queue_depth);
             for (i, f) in jobs.into_iter().enumerate() {
-                depth_hist.record(st.injector.len() as u64);
+                let depth = st.injector.len() as u64;
+                st.queue_depth.record(depth);
                 let batch = Arc::clone(&batch);
                 let shared = Arc::clone(&self.shared);
                 st.injector.push_back(Box::new(move || {
@@ -359,6 +359,11 @@ impl Pool {
 
     /// Blocks until `batch` completes; a worker thread helps execute
     /// pending jobs (its own batch's or anyone else's) instead of idling.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the helping worker's 1 ms wait_timeout is a poll for new work, \
+                  not a predicate wait; the loop re-checks `remaining` after it"
+    )]
     fn wait_for<T>(&self, batch: &Batch<T>) {
         let me = WORKER.with(Cell::get);
         let helping = matches!(me, Some((pool, _)) if pool == Arc::as_ptr(&self.shared) as usize);
@@ -389,12 +394,10 @@ impl Pool {
                     return;
                 }
             } else {
-                while *rem > 0 {
-                    rem = batch
-                        .done_cv
-                        .wait(rem)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
+                let _done = batch
+                    .done_cv
+                    .wait_while(rem, |rem| *rem > 0)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
                 return;
             }
         }
@@ -409,7 +412,7 @@ impl Pool {
         PoolStats {
             workers: self.threads(),
             jobs_completed: jobs,
-            // Advisory gauges; see `execute`/`try_take` (allowlisted).
+            // Advisory gauges; see `execute`/`try_take`.
             peak_busy: self.shared.counters.peak_busy.load(Ordering::Relaxed),
             steals: self.shared.counters.steals.load(Ordering::Relaxed),
             worker_jobs: self
@@ -420,7 +423,7 @@ impl Pool {
                 .collect(),
             busy_fraction: (busy_s / (elapsed * self.threads() as f64)).min(1.0),
             jobs_per_sec: jobs as f64 / elapsed,
-            queue_depth: lock(&self.shared.queue_depth).clone(),
+            queue_depth: lock(&self.shared.state).queue_depth.clone(),
         }
     }
 }
@@ -430,6 +433,11 @@ impl Drop for Pool {
         lock(&self.shared.state).shutdown = true;
         self.shared.work_cv.notify_all();
         for h in self.workers.drain(..) {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "Drop cannot propagate, and a panicked worker has already \
+                          surfaced through its batch"
+            )]
             let _ = h.join();
         }
     }

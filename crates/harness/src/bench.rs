@@ -17,6 +17,11 @@
 //! the comparison baseline so the performance trajectory is
 //! machine-checkable PR over PR.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "throughput timing telemetry; stripped before determinism diffs"
+)]
+
 use std::time::Instant;
 
 use fdip_program::workload::{self, Workload};

@@ -19,9 +19,14 @@
 //! versioned JSON document (schema: `docs/METRICS.md`) whose manifest
 //! carries the pool telemetry block.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "progress and wall-clock reporting only; never enters results"
+)]
+
 use fdip_harness::experiments;
-use fdip_harness::{Report, Runner};
-use fdip_telemetry::{Json, RunManifest, ToJson, SCHEMA_VERSION};
+use fdip_harness::{experiments_json, Report, Runner};
+use fdip_telemetry::{RunManifest, ToJson};
 use std::io::Write;
 use std::time::Instant;
 
@@ -138,13 +143,7 @@ fn main() {
         );
         manifest.wall_seconds = t0.elapsed().as_secs_f64();
         manifest.pool = Some(runner.pool().stats().to_json());
-        let doc = Json::obj()
-            .with("schema_version", SCHEMA_VERSION)
-            .with("manifest", manifest.to_json())
-            .with(
-                "experiments",
-                Json::Arr(reports.iter().map(ToJson::to_json).collect()),
-            );
+        let doc = experiments_json(&manifest, &reports);
         let write = std::fs::File::create(&path)
             .and_then(|mut f| f.write_all(doc.to_string_pretty().as_bytes()));
         if let Err(e) = write {

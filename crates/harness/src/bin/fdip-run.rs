@@ -14,6 +14,11 @@
 //! `--json <path>` (or the `FDIP_JSON` env var) writes the versioned
 //! results schema documented in `docs/METRICS.md`.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "progress and wall-clock reporting only; never enters results"
+)]
+
 use fdip_bpred::{GshareConfig, HistoryPolicy, TageConfig};
 use fdip_harness::{Runner, SuiteResult, WorkloadResult};
 use fdip_prefetch::PrefetcherKind;

@@ -32,6 +32,6 @@ mod suite;
 
 pub use bench::{BenchBaseline, BenchResult, BenchWorkload};
 pub use remote::RemoteClient;
-pub use report::{Report, Table};
+pub use report::{experiments_json, Report, Table};
 pub use runner::{geomean, Runner};
 pub use suite::{SuiteResult, WorkloadResult};

@@ -1,6 +1,6 @@
 //! Text-table reports mirroring the paper's figures.
 
-use fdip_telemetry::{Json, ToJson};
+use fdip_telemetry::{Json, RunManifest, ToJson, SCHEMA_VERSION};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -140,6 +140,18 @@ impl ToJson for Report {
                 Json::Arr(self.tables.iter().map(ToJson::to_json).collect()),
             )
     }
+}
+
+/// The `fdip-experiments --json` document: the run manifest plus every
+/// report, in selection order.
+pub fn experiments_json(manifest: &RunManifest, reports: &[Report]) -> Json {
+    Json::obj()
+        .with("schema_version", SCHEMA_VERSION)
+        .with("manifest", manifest.to_json())
+        .with(
+            "experiments",
+            Json::Arr(reports.iter().map(ToJson::to_json).collect()),
+        )
 }
 
 impl fmt::Display for Report {

@@ -9,6 +9,11 @@
 //! indexed slots — suite order, never completion order — which keeps
 //! sweeps deterministic for any `FDIP_JOBS` setting.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "wall_seconds manifest telemetry; stripped before determinism diffs"
+)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 

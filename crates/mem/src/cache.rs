@@ -11,6 +11,15 @@
 //! classified into the [`PrefetchOutcomes`] taxonomy, separately for
 //! decoupled-frontend (FDP) fills and dedicated-prefetcher fills.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::table::FillMap;
 use fdip_types::Cycle;
 
@@ -427,7 +436,7 @@ mod tests {
         let (o, requests) = match src {
             FillSrc::Pf => (c.stats().outcomes_pf, c.stats().outcomes_pf.requests),
             FillSrc::Fdp => (c.stats().outcomes_fdp, c.stats().outcomes_fdp.requests),
-            FillSrc::Demand => unreachable!(),
+            FillSrc::Demand => panic!("demand fills have no prefetch outcomes"),
         };
         assert_eq!(
             o.resolved() + c.unresolved_prefetches(src),

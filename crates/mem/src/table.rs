@@ -11,6 +11,15 @@
 //! outcome is order-independent, so replacing the hasher cannot change
 //! simulation results.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use fdip_types::Cycle;
 
 /// Sentinel key: never-used slot. Line numbers are byte addresses / 64,
@@ -169,7 +178,7 @@ impl FillMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     #[test]
     fn insert_get_remove_round_trip() {
@@ -224,9 +233,9 @@ mod tests {
     }
 
     #[test]
-    fn matches_std_hashmap_under_mixed_operations() {
+    fn matches_a_std_map_under_mixed_operations() {
         let mut m = FillMap::new();
-        let mut reference: HashMap<u64, Cycle> = HashMap::new();
+        let mut reference: BTreeMap<u64, Cycle> = BTreeMap::new();
         let mut x = 0x1234_5678_9abc_def0u64;
         for step in 0..50_000 {
             x = x

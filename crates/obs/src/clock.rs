@@ -2,11 +2,17 @@
 //! in this crate (and, together with nothing else, the only one in the
 //! serving stack) that reads `Instant`/`SystemTime`.
 //!
-//! Confinement is the point: `fdip-lint`'s determinism pass covers
-//! `crates/obs`, and the two clock reads here carry `lint-allow.txt`
-//! justifications. Everything downstream (log timestamps, request
-//! latencies, span durations) is operator telemetry that never enters
-//! a `results.json`.
+//! Confinement is the point: the workspace's `clippy::disallowed_types`
+//! lint rejects both clock types everywhere, and this file alone carries
+//! a justified file-level expectation for them. Everything downstream
+//! (log timestamps, request latencies, span durations) is operator
+//! telemetry that never enters a `results.json`.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the observability plane's one clock module; feeds telemetry only, \
+              results are clock-free and diffed obs-on vs obs-off"
+)]
 
 use std::time::{Instant, SystemTime};
 

@@ -29,11 +29,11 @@
 //!   grid opens in Perfetto next to the simulator's cycle traces.
 //!
 //! **Determinism contract.** Observability must never perturb results:
-//! every wall-clock read in this crate is confined to [`clock`]
-//! (allowlisted in `lint-allow.txt`), nothing here feeds a simulation,
-//! and `scripts/verify.sh` diffs stripped `results.json` with the
-//! whole plane enabled versus disabled. The `fdip-lint` determinism
-//! pass covers `crates/obs` like every result-affecting crate.
+//! every wall-clock read in this crate is confined to [`clock`] (the
+//! workspace's `clippy::disallowed_types` lint rejects `Instant` and
+//! `SystemTime` everywhere else), nothing here feeds a simulation, and
+//! `scripts/verify.sh` diffs stripped `results.json` with the whole
+//! plane enabled versus disabled.
 
 pub mod clock;
 pub mod expo;

@@ -85,6 +85,10 @@ impl Gauge {
 
     /// Adds `delta` (may be negative).
     pub fn add(&self, delta: f64) {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "the update closure always returns Some, so the Err branch is unreachable"
+        )]
         let _ = self
             .0
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {

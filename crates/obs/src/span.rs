@@ -249,7 +249,7 @@ mod tests {
     #[test]
     fn write_dumps_atomically_and_sanitizes_ids() {
         let dir = std::env::temp_dir().join(format!("fdip-obs-span-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::remove_dir_all(&dir).ok();
         let rec = SpanRecorder::new();
         rec.instant(Track::Grid, "submit", Json::obj());
         rec.write(&dir, "ab12/../evil").expect("write");
@@ -261,6 +261,6 @@ mod tests {
         let text = std::fs::read_to_string(dir.join(&entries[0])).unwrap();
         let parsed = Json::parse(&text).expect("valid json");
         assert!(parsed.get("traceEvents").is_some());
-        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

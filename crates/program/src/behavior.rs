@@ -243,7 +243,7 @@ mod tests {
         };
         let mut st = BranchState::default();
         let mut r = rng();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..100 {
             seen.insert(b.decide_target(&mut st, &mut r));
         }

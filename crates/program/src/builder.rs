@@ -292,7 +292,11 @@ impl ProgramBuilder {
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one call site passes the builder's loop state through; a struct would \
+                  only rename it"
+    )]
     fn block_terminator(
         &self,
         rng: &mut SmallRng,

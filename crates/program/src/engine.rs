@@ -164,7 +164,7 @@ mod tests {
     use crate::builder::{ProgramBuilder, ProgramParams};
     use crate::image::CodeImage;
     use fdip_types::{OpClass, StaticInstr};
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn demo_program(seed: u64) -> Program {
         ProgramBuilder::new(ProgramParams {
@@ -239,7 +239,7 @@ mod tests {
     #[test]
     fn touches_a_wide_footprint() {
         let p = demo_program(6);
-        let lines: HashSet<u64> = ExecutionEngine::new(&p, 1)
+        let lines: BTreeSet<u64> = ExecutionEngine::new(&p, 1)
             .take(100_000)
             .map(|d| d.pc.line_number())
             .collect();

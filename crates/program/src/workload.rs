@@ -169,13 +169,13 @@ pub fn quick_suite() -> Vec<Workload> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn suite_has_ten_unique_names() {
         let s = suite();
         assert_eq!(s.len(), 10);
-        let names: HashSet<&str> = s.iter().map(|w| w.name.as_str()).collect();
+        let names: BTreeSet<&str> = s.iter().map(|w| w.name.as_str()).collect();
         assert_eq!(names.len(), 10);
     }
 
@@ -211,7 +211,7 @@ mod tests {
     fn quick_suite_is_one_per_family() {
         let s = quick_suite();
         assert_eq!(s.len(), 3);
-        let fams: HashSet<WorkloadFamily> = s.iter().map(|w| w.family).collect();
+        let fams: BTreeSet<String> = s.iter().map(|w| w.family.to_string()).collect();
         assert_eq!(fams.len(), 3);
     }
 

@@ -119,7 +119,7 @@ mod tests {
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("fdip-cache-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::remove_dir_all(&dir).ok();
         dir
     }
 
@@ -148,7 +148,7 @@ mod tests {
         // A fresh Cache over the same directory sees the entry.
         let reopened = Cache::open(dir.clone()).unwrap();
         assert_eq!(reopened.get("abc").expect("hit").stats(), entry.stats());
-        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -183,6 +183,6 @@ mod tests {
             "another cell's entry was served"
         );
         assert!(cache.get("other").is_some());
-        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -202,7 +202,7 @@ mod tests {
     fn temp_log(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("fdip-journal-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir.join("journal.log")
     }
@@ -227,7 +227,7 @@ mod tests {
         assert_eq!(inc.len(), 1);
         assert_eq!(inc[0].grid_id, "g2");
         assert_eq!(inc[0].request, req("b"));
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
@@ -251,7 +251,7 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 1);
         assert!(text.contains("g2"));
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
@@ -277,7 +277,7 @@ mod tests {
         let (_, inc) = Journal::open(path.clone()).unwrap();
         assert_eq!(inc.len(), 1);
         assert_eq!(inc[0].grid_id, "g3");
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
@@ -292,7 +292,7 @@ mod tests {
         let (_, inc) = Journal::open(path.clone()).unwrap();
         assert!(inc.is_empty());
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
@@ -305,6 +305,6 @@ mod tests {
         }
         let (_, inc) = Journal::open(path.clone()).unwrap();
         assert_eq!(inc.len(), 1);
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 }

@@ -169,6 +169,11 @@ impl Shared {
         }
         self.gate_cv.notify_all();
         // Wake the accept loop if it is parked in accept().
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "self-connect only wakes the parked accept loop; failure means the \
+                      listener is already gone, which is the goal"
+        )]
         let _ = TcpStream::connect(self.addr);
     }
 
@@ -188,6 +193,11 @@ impl Shared {
         }
         // Take the accept loop down too — an interrupted daemon drains
         // and exits like a killed one, once in-flight handlers return.
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "self-connect only wakes the parked accept loop; failure means the \
+                      listener is already gone, which is the goal"
+        )]
         let _ = TcpStream::connect(self.addr);
     }
 }
@@ -306,6 +316,11 @@ impl Server {
         self.join_threads();
     }
 
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "drain/Drop joins the accept and resume threads; a panic there has already \
+                  surfaced via the journal and e2e asserts"
+    )]
     fn join_threads(&mut self) {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
@@ -342,10 +357,11 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     }
     // Refuse new connections while the drain completes.
     drop(listener);
-    let mut gate = shared.gate.lock().expect("gate lock");
-    while gate.inflight_grids > 0 || gate.connections > 0 {
-        gate = shared.gate_cv.wait(gate).expect("gate lock");
-    }
+    let gate = shared.gate.lock().expect("gate lock");
+    let _drained = shared
+        .gate_cv
+        .wait_while(gate, |g| g.inflight_grids > 0 || g.connections > 0)
+        .expect("gate lock");
 }
 
 fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
@@ -388,7 +404,18 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
             ("micros", micros.into()),
         ],
     );
-    let _ = write_reply(&mut stream, status, &reply);
+    if let Err(e) = write_reply(&mut stream, status, &reply) {
+        // The peer hung up before reading its reply.
+        log::debug(
+            "serve",
+            "reply not delivered",
+            &[
+                ("route", route.as_str().into()),
+                ("status", u64::from(status).into()),
+                ("error", e.to_string().as_str().into()),
+            ],
+        );
+    }
 }
 
 fn dispatch(shared: &Arc<Shared>, req: &Request) -> Result<Reply, ServeError> {

@@ -507,11 +507,24 @@ fn run_owned(
                 .put(&key, &meta, &stats.to_json(), &dists.to_json())
                 .is_ok();
             if committed {
-                let _ = shared
+                // The cell is already in the cache, which resume reads
+                // first, so a lost record loses no work.
+                let done = shared
                     .journal
                     .lock()
                     .expect("journal lock")
                     .cell_done(&grid_id, &key);
+                if let Err(e) = done {
+                    log::warn(
+                        "serve",
+                        "journal append failed",
+                        &[
+                            ("grid_id", grid_id.as_str().into()),
+                            ("cell", key.as_str().into()),
+                            ("error", e.to_string().as_str().into()),
+                        ],
+                    );
+                }
             }
             let simulated = shared.telemetry.on_cell_simulated(sim_micros);
             if shared
@@ -558,7 +571,16 @@ fn run_owned(
         })
     };
     let results = shared.pool().run_batch_cancellable(jobs, &token);
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "watchdog done signal; Err means the watchdog already exited on cancellation"
+    )]
     let _ = done_tx.send(());
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "watchdog teardown join; a watchdog panic would have cancelled the token \
+                  it exists to cancel"
+    )]
     let _ = watchdog.join();
     shared.tokens.lock().expect("token lock").remove(grid_id);
 
@@ -612,21 +634,15 @@ fn set_slot(shared: &Shared, key: &str, state: SlotState) {
 fn wait_coalesced(shared: &Shared, cells: &[Cell]) -> bool {
     let mut ok = true;
     let mut slots = shared.slots.lock().expect("slot lock");
-    for cell in cells {
-        if cell.plan != Plan::Coalesce {
-            continue;
-        }
-        loop {
-            match slots.get(&cell.key) {
-                Some(SlotState::Done) | None => break,
-                Some(SlotState::Failed) => {
-                    ok = false;
-                    break;
-                }
-                Some(SlotState::Running) => {
-                    slots = shared.slots_cv.wait(slots).expect("slot lock");
-                }
-            }
+    for cell in cells.iter().filter(|c| c.plan == Plan::Coalesce) {
+        slots = shared
+            .slots_cv
+            .wait_while(slots, |s| {
+                matches!(s.get(&cell.key), Some(SlotState::Running))
+            })
+            .expect("slot lock");
+        if matches!(slots.get(&cell.key), Some(SlotState::Failed)) {
+            ok = false;
         }
     }
     ok
@@ -658,6 +674,10 @@ fn finish_interrupted(shared: &Shared, grid_id: &str, recorder: Option<&Arc<Span
 /// entries [`lookup`] verified, simulated and coalesced cells re-read
 /// now — around an envelope written exactly as `Json::to_string` writes
 /// the documented response object.
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "`write!` into a `String` cannot fail"
+)]
 fn assemble(
     shared: &Shared,
     grid: &ValidGrid,
@@ -687,7 +707,6 @@ fn assemble(
         .map(|(_, e)| e.stats().len() + e.dists().len() + 128)
         .sum();
     let mut out = String::with_capacity(body_len + 256);
-    // `write!` into a `String` cannot fail.
     let _ = write!(out, "{{\"schema_version\":{SCHEMA_VERSION},\"grid_id\":");
     Json::write_escaped(&mut out, grid_id);
     out.push_str(",\"suite\":");

@@ -6,8 +6,8 @@
 //! every Document 6 value is read back from the same counter cell a
 //! scrape samples, so the two cannot drift — a regression test compares
 //! them field by field. Wall-clock reads (start time, uptime) go
-//! through `fdip_obs::clock`, the one allowlisted clock module; this
-//! file no longer touches `Instant`/`SystemTime` itself.
+//! through `fdip_obs::clock`, the observability plane's one clock
+//! module.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};

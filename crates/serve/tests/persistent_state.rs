@@ -24,7 +24,7 @@ const MEASURE: u64 = 2_000;
 
 fn spawn(tag: &str) -> (Server, String, PathBuf) {
     let dir = std::env::temp_dir().join(format!("fdip-serve-state-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::remove_dir_all(&dir).ok();
     let mut config = ServerConfig::new(dir.clone());
     config.jobs = Some(2);
     let server = Server::spawn(config).expect("server spawns");
@@ -172,7 +172,7 @@ fn damaged_foreign_and_old_layout_entries_are_resimulated() {
     }
 
     server.stop();
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -196,5 +196,5 @@ fn warm_grids_leave_the_journal_empty() {
     }
     server.stop();
     assert_eq!(log_len(), 0);
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::remove_dir_all(&dir).ok();
 }

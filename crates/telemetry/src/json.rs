@@ -137,7 +137,11 @@ impl Json {
     }
 
     /// Serializes compactly (no whitespace).
-    #[allow(clippy::inherent_to_string)]
+    #[allow(
+        clippy::inherent_to_string,
+        reason = "compact serialization writes straight into a `String`; `Json` has no \
+                  `Display` impl to route it through"
+    )]
     pub fn to_string(&self) -> String {
         let mut out = String::with_capacity(256);
         self.write(&mut out, None, 0);
@@ -291,8 +295,11 @@ fn write_seq(
 
 /// Appends `v`'s `Display` form to `out` without a temporary `String`.
 fn push_display(out: &mut String, v: impl fmt::Display) {
-    // Formatting into a `String` never fails: its `fmt::Write` impl is
-    // infallible and the std number formatters return no errors.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "formatting into a `String` never fails: its `fmt::Write` impl is \
+                  infallible and the std number formatters return no errors"
+    )]
     let _ = write!(out, "{v}");
 }
 

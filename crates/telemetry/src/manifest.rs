@@ -1,5 +1,10 @@
 //! Run provenance for a results file.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "generated_unix provenance stamp; stripped before determinism diffs"
+)]
+
 use std::process::Command;
 use std::time::{SystemTime, UNIX_EPOCH};
 

@@ -22,7 +22,7 @@ fn tiny_runner() -> Runner {
 #[test]
 fn registry_is_complete_and_unique() {
     let ids: Vec<&str> = experiments::all().iter().map(|e| e.id).collect();
-    let unique: std::collections::HashSet<&&str> = ids.iter().collect();
+    let unique: std::collections::BTreeSet<&&str> = ids.iter().collect();
     assert_eq!(ids.len(), unique.len());
     assert_eq!(ids.len(), 13, "one experiment per paper artifact");
 }

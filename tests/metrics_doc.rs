@@ -2,11 +2,12 @@
 //! JSON documents must be documented in `docs/METRICS.md`.
 //!
 //! This is the drift guard promised by the metrics doc — adding a field
-//! to `SimStats::to_json`, the histograms, the manifest, or the report
-//! serialization without documenting it fails this test.
+//! to `SimStats::to_json`, the histograms, the manifest, the report
+//! serialization, or the trace exporter without documenting it fails
+//! this test.
 
 use fdip_harness::bench::quick_bench;
-use fdip_harness::{BenchBaseline, Report, Runner, Table};
+use fdip_harness::{experiments_json, BenchBaseline, Report, Runner, Table};
 use fdip_sim::CoreConfig;
 use fdip_telemetry::{Json, RunManifest, ToJson, SCHEMA_VERSION};
 use std::collections::BTreeSet;
@@ -68,20 +69,15 @@ fn every_results_json_field_is_documented() {
 
 #[test]
 fn every_experiments_json_field_is_documented() {
-    // Mirror the fdip-experiments --json document shape without the
-    // cost of running real experiments.
+    // The document `fdip-experiments --json` writes, around a small
+    // report instead of a real experiment run.
     let mut report = Report::new("fig7");
     report.metric("fdp_speedup_pct", 14.1);
     let mut table = Table::new("T", &["cfg", "speedup"]);
     table.row_f("fdp", &[14.1]);
     report.tables.push(table);
-    let doc_json = Json::obj()
-        .with("schema_version", SCHEMA_VERSION)
-        .with(
-            "manifest",
-            RunManifest::new("fdip-experiments", "quick", 500, 3_000, 3).to_json(),
-        )
-        .with("experiments", Json::Arr(vec![report.to_json()]));
+    let manifest = RunManifest::new("fdip-experiments", "quick", 500, 3_000, 3);
+    let doc_json = experiments_json(&manifest, &[report]);
     assert_all_documented(&doc_json, &doc(), "experiments json");
 }
 
@@ -226,13 +222,14 @@ fn documented_observability_counters_exist_in_emitted_json() {
 
 #[test]
 fn documented_trace_fields_exist_in_exported_trace() {
-    // Document 4: a real traced run must emit the documented top-level
-    // fields and both named tracks.
+    // Document 4, both ways: a real traced run must emit only documented
+    // keys, and the documented top-level fields and both named tracks.
     use fdip_program::workload;
     let program = workload::quick_suite()[0].build();
     let (_, _, tracer) =
         fdip_sim::run_workload_traced(&CoreConfig::fdp(), &program, 500, 3_000, 10_000);
     let trace = tracer.to_chrome_trace(&fdip_sim::STALL_REASON_NAMES);
+    assert_all_documented(&trace, &doc(), "trace file");
     for name in ["traceEvents", "displayTimeUnit", "metadata"] {
         assert!(trace.get(name).is_some(), "trace field {name} missing");
     }

@@ -54,7 +54,7 @@ fn documented_families(doc: &str) -> BTreeMap<String, (String, String)> {
 
 fn state_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fdip-obs-doc-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::remove_dir_all(&dir).ok();
     dir
 }
 
@@ -127,7 +127,7 @@ fn the_daemon_catalog_matches_a_live_scrape_bidirectionally() {
     assert_catalog_matches(&scrape, &catalog, &["fdip_serve_", "fdip_exec_"], "daemon");
 
     server.stop();
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -145,7 +145,7 @@ fn the_client_catalog_matches_the_global_registry_bidirectionally() {
         .run_grid("quick", 500, 2_000, &[CoreConfig::fdp()], 3)
         .expect("grid served");
     server.stop();
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::remove_dir_all(&dir).ok();
     // Port 1 refuses connections; the runner must fall back locally.
     let fallback = Runner::quick(500, 2_000).with_server("127.0.0.1:1", "obs-doc-fallback");
     let local = fallback.run_configs_detailed(&[CoreConfig::fdp()]);

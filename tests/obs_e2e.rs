@@ -34,7 +34,7 @@ static LOGGER: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn state_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fdip-obs-e2e-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::remove_dir_all(&dir).ok();
     dir
 }
 
@@ -214,7 +214,7 @@ fn scrape_validates_counters_are_monotonic_and_cache_hits_move_on_replay() {
     }
 
     server.stop();
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -269,6 +269,6 @@ fn stripped_results_are_byte_identical_with_observability_on_and_off() {
         .collect();
     assert_eq!(stripped_cells(&with_obs), local_stripped);
 
-    let _ = std::fs::remove_dir_all(&dir_on);
-    let _ = std::fs::remove_dir_all(&dir_off);
+    std::fs::remove_dir_all(&dir_on).ok();
+    std::fs::remove_dir_all(&dir_off).ok();
 }

@@ -77,7 +77,7 @@ proptest! {
     #[test]
     fn btb_capacity_and_recency(branches in prop::collection::vec((0u64..4096, 0u64..1_000_000), 1..500)) {
         let mut btb = Btb::new(BtbConfig { entries: 64, assoc: 4 });
-        let mut last: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+        let mut last: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
         for (slot, target) in branches {
             let pc = Addr::new(0x1000 + slot * 4);
             btb.insert(pc, BranchKind::CondDirect, Addr::new(0x2000 + target * 4));

@@ -2,10 +2,12 @@
 //! `tests/metrics_doc.rs`:
 //!
 //! * **emitted → documented**: every key that actually crosses the wire
-//!   (grid request, grid response, every GET endpoint, error bodies) and
-//!   every key in an on-disk cache entry must be documented — in
+//!   (grid request, grid response, every GET endpoint, error bodies),
+//!   every key in an on-disk cache entry or journal record, and every
+//!   key of a `--trace-dir` grid span file must be documented — in
 //!   `docs/SERVE.md`, or in `docs/METRICS.md` for the embedded
-//!   stats/dists/histogram/Document-6 blocks specified there.
+//!   stats/dists/histogram/Document-6 blocks and the Document 4 trace
+//!   vocabulary specified there.
 //! * **documented → real**: the endpoints, error codes, and
 //!   content-address algorithms the doc spells out must behave exactly
 //!   as written — the FNV-1a constants and canonical strings are
@@ -15,12 +17,14 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
+use fdip_bpred::GshareConfig;
 use fdip_harness::remote::{
     cell_key, config_hash, config_to_json, fnv1a64, grid_request, http_json_request, workload_hash,
     GRID_PATH, HEALTHZ_PATH, LOGS_PATH, METRICS_PATH, PROGRESS_PATH, SHUTDOWN_PATH, TELEMETRY_PATH,
 };
+use fdip_serve::journal::Journal;
 use fdip_serve::{Server, ServerConfig};
-use fdip_sim::CoreConfig;
+use fdip_sim::{CoreConfig, DirectionConfig};
 use fdip_telemetry::Json;
 
 fn serve_doc() -> String {
@@ -92,7 +96,7 @@ fn documented_entry_fields() -> BTreeSet<String> {
 
 fn state_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fdip-serve-doc-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::remove_dir_all(&dir).ok();
     dir
 }
 
@@ -100,6 +104,7 @@ fn test_server(tag: &str) -> (Server, String, PathBuf) {
     let dir = state_dir(tag);
     let mut config = ServerConfig::new(dir.clone());
     config.jobs = Some(2);
+    config.trace_dir = Some(dir.join("traces"));
     let server = Server::spawn(config).expect("server spawns");
     let addr = server.addr().to_string();
     (server, addr, dir)
@@ -110,6 +115,15 @@ fn every_wire_key_is_documented() {
     let (server, addr, dir) = test_server("wire");
     let request = grid_request("serve-doc-test", "quick", 500, 2_000, &[CoreConfig::fdp()]);
     assert_documented(&request, "grid request");
+    // The direction variants the grid below does not send.
+    for direction in [
+        DirectionConfig::Gshare(GshareConfig::default()),
+        DirectionConfig::Perfect,
+    ] {
+        let mut cfg = CoreConfig::fdp();
+        cfg.direction = direction;
+        assert_documented(&config_to_json(&cfg), "canonical config");
+    }
 
     let (status, response) =
         http_json_request(&addr, "POST", GRID_PATH, Some(&request)).expect("grid served");
@@ -192,13 +206,37 @@ fn every_wire_key_is_documented() {
         Some(lines[3])
     );
 
+    // Journal records. The grid above ended, which emptied the daemon's
+    // log, so write both record kinds through a second journal.
+    let journal_path = dir.join("doc-journal.log");
+    let (mut journal, _) = Journal::open(journal_path.clone()).expect("journal opens");
+    journal.grid_begin("g", &request).unwrap();
+    journal.cell_done("g", key).unwrap();
+    let records = std::fs::read_to_string(&journal_path).unwrap();
+    assert_eq!(records.lines().count(), 2, "{records}");
+    for line in records.lines() {
+        assert_documented(&Json::parse(line).expect("record parses"), "journal record");
+    }
+
+    // The grid's span file, written before the response went out.
+    let grid_id = response
+        .get("grid_id")
+        .and_then(Json::as_str)
+        .expect("grid_id");
+    let trace = std::fs::read_to_string(dir.join("traces").join(format!("grid-{grid_id}.json")))
+        .expect("grid span file");
+    assert_documented(
+        &Json::parse(&trace).expect("span file parses"),
+        "grid span file",
+    );
+
     // Shutdown response, and the drain it documents.
     let (status, body) = http_json_request(&addr, "POST", SHUTDOWN_PATH, None).expect("shutdown");
     assert_eq!(status, 200);
     assert_documented(&body, "shutdown response");
     assert_eq!(body.get("draining").and_then(Json::as_bool), Some(true));
     server.join();
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -223,7 +261,7 @@ fn documented_error_codes_behave_as_written() {
     assert_eq!(error_code(&body), "unsupported_suite");
 
     server.stop();
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -239,7 +277,7 @@ fn oversized_bodies_get_413_as_documented() {
     assert_eq!(status, 413);
     assert_eq!(error_code(&body), "too_large");
     server.stop();
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn error_code(body: &Json) -> &str {

@@ -22,7 +22,7 @@ const MEASURE: u64 = 2_000;
 
 fn state_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fdip-serve-e2e-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::remove_dir_all(&dir).ok();
     dir
 }
 
@@ -130,7 +130,7 @@ fn second_submission_hits_cache_and_matches_local_run_byte_for_byte() {
     assert_eq!(strip_local(&via_runner), strip_local(&local));
 
     server.stop();
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -197,7 +197,7 @@ fn killed_daemon_resumes_from_journal_without_resimulating() {
     assert_eq!(stripped_cells(&response), strip_local(&local));
 
     server.stop();
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
