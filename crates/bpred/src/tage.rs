@@ -262,10 +262,7 @@ impl Tage {
 
         // use_alt_on_na training on weak providers.
         if pred.provider.is_some() && pred.provider_weak {
-            let provider_dir_correct = (pred.taken == taken) != (pred.taken != pred.alt_taken);
-            // Simpler: compare both candidate directions to the outcome.
             let alt_correct = pred.alt_taken == taken;
-            let _ = provider_dir_correct;
             if alt_correct != (pred.taken == taken) {
                 let delta = if alt_correct { 1 } else { -1 };
                 self.use_alt_on_na = (self.use_alt_on_na + delta).clamp(-8, 7);
@@ -294,25 +291,21 @@ impl Tage {
         if mispredicted {
             let start = provider.map_or(0, |p| p + 1);
             if start < self.config.num_tables {
-                let candidates: Vec<usize> = (start..self.config.num_tables)
-                    .filter(|&j| self.tables[j][self.index(pc, folds, j)].u == 0)
-                    .collect();
-                if candidates.is_empty() {
-                    for j in start..self.config.num_tables {
-                        let idx = self.index(pc, folds, j);
-                        let e = &mut self.tables[j][idx];
-                        e.u = e.u.saturating_sub(1);
-                    }
-                } else {
+                // Only the two shortest-history tables with a free
+                // (not useful) entry can be picked.
+                let (first, second) = {
+                    let mut free = (start..self.config.num_tables)
+                        .filter(|&j| self.tables[j][self.index(pc, folds, j)].u == 0);
+                    (free.next(), free.next())
+                };
+                if let Some(first) = first {
                     // Prefer shorter histories with geometric bias, as in
                     // Seznec's reference code.
                     let r = self.next_rand();
-                    let pick = if candidates.len() > 1 && r & 1 == 0 {
-                        1
-                    } else {
-                        0
+                    let j = match second {
+                        Some(second) if r & 1 == 0 => second,
+                        _ => first,
                     };
-                    let j = candidates[pick.min(candidates.len() - 1)];
                     let idx = self.index(pc, folds, j);
                     let tag = self.tag(pc, folds, j);
                     self.tables[j][idx] = TageEntry {
@@ -320,6 +313,12 @@ impl Tage {
                         ctr: if taken { 0 } else { -1 },
                         u: 0,
                     };
+                } else {
+                    for j in start..self.config.num_tables {
+                        let idx = self.index(pc, folds, j);
+                        let e = &mut self.tables[j][idx];
+                        e.u = e.u.saturating_sub(1);
+                    }
                 }
             }
         }

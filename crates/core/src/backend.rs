@@ -2,11 +2,11 @@
 //! entry, unresolved-branch records, and the synthetic data-address
 //! generator for the load/store stream.
 
-use crate::ftq::SlotBranch;
+use crate::ftq::BranchId;
 use fdip_types::{Addr, BranchKind, Cycle};
 
 /// An instruction travelling from fetch to dispatch (the decode queue).
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub struct FetchedInstr {
     /// Monotonic fetch id (program order).
     pub id: u64,
@@ -16,8 +16,9 @@ pub struct FetchedInstr {
     pub tag: u8,
     /// Committed-path sequence number, if on the correct path.
     pub seq: Option<u64>,
-    /// Branch speculation record (actual branches only).
-    pub branch: Option<Box<SlotBranch>>,
+    /// Branch speculation record in the simulator's slab (actual
+    /// branches only).
+    pub branch: Option<BranchId>,
 }
 
 /// A ROB entry (timing-only; branch metadata lives in
@@ -40,7 +41,7 @@ pub struct RobEntry {
 ///
 /// Branch execute latency is constant, so records are naturally sorted
 /// by `resolve_at` in dispatch order.
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub struct UnresolvedBranch {
     /// Fetch id (program order).
     pub id: u64,
@@ -53,8 +54,8 @@ pub struct UnresolvedBranch {
     /// Actual branch kind.
     pub kind: BranchKind,
     /// Speculation record carried from prediction (possibly updated by
-    /// PFC).
-    pub rec: Box<SlotBranch>,
+    /// PFC), in the simulator's slab.
+    pub rec: BranchId,
 }
 
 /// Deterministic synthetic data-address generator.

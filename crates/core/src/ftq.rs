@@ -32,10 +32,11 @@ pub fn ftq_overhead_bytes(entries: usize) -> usize {
 /// Created at prediction time for every slot the code image identifies as
 /// an actual branch (detected by the BTB or not), so that execute-time
 /// resolution, PFC, and history fixup all have a checkpoint to restore.
+/// The checkpoint makes a record several hundred bytes, so it is written
+/// once into a slab the simulator owns and travels by [`BranchId`]
+/// through the FTQ entry, the decode queue and the unresolved list.
 #[derive(Clone, Debug)]
 pub struct SlotBranch {
-    /// Slot offset within the 32-byte block (0..8).
-    pub offset: usize,
     /// Actual branch kind (from pre-decode / the code image).
     pub kind: BranchKind,
     /// History/RAS state *before* this branch's speculative effects.
@@ -50,6 +51,122 @@ pub struct SlotBranch {
     pub predicted_target: Addr,
     /// Was the branch detected (BTB hit / perfect BTB) at prediction?
     pub detected: bool,
+}
+
+/// Index of a [`SlotBranch`] in the simulator's slab.
+#[derive(Copy, Clone, Debug, Default)]
+pub struct BranchId(u32);
+
+/// The simulator's store of in-flight [`SlotBranch`] records.
+///
+/// Each record lives in one slot from prediction until its branch
+/// resolves or is flushed; then its slot goes on a free list for the next
+/// prediction to reuse, so the steady state allocates nothing. The slab
+/// grows on demand: records stay live past the FTQ, in the decode queue
+/// and the unresolved list, so FTQ depth × slots does not bound it. It
+/// reaches its high-water mark (about 50 records on the quick suite)
+/// early in a run.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct BranchSlab {
+    recs: Vec<SlotBranch>,
+    free: Vec<BranchId>,
+}
+
+impl BranchSlab {
+    /// Stores `rec` in a free slot, growing the slab if none is free.
+    #[inline]
+    pub(crate) fn insert(&mut self, rec: SlotBranch) -> BranchId {
+        match self.free.pop() {
+            Some(id) => {
+                self.recs[id.0 as usize] = rec;
+                id
+            }
+            None => {
+                let id = BranchId(self.recs.len() as u32);
+                self.recs.push(rec);
+                id
+            }
+        }
+    }
+
+    /// The record at `id`.
+    #[inline]
+    pub(crate) fn get(&self, id: BranchId) -> &SlotBranch {
+        &self.recs[id.0 as usize]
+    }
+
+    /// The record at `id`, mutably.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, id: BranchId) -> &mut SlotBranch {
+        &mut self.recs[id.0 as usize]
+    }
+
+    /// Frees the slot at `id` for reuse. Every id is released exactly
+    /// once, by whichever structure drops it.
+    #[inline]
+    pub(crate) fn release(&mut self, id: BranchId) {
+        self.free.push(id);
+    }
+
+    /// Records currently held (inserted and not yet released).
+    #[cfg(test)]
+    pub(crate) fn live(&self) -> usize {
+        self.recs.len() - self.free.len()
+    }
+
+    /// Slots allocated so far: the high-water mark of [`BranchSlab::live`].
+    #[cfg(test)]
+    pub(crate) fn slots(&self) -> usize {
+        self.recs.len()
+    }
+}
+
+/// The branch records of one FTQ entry: the [`BranchId`] of each block
+/// slot that holds an actual branch, inline (at most 8, one per slot).
+#[derive(Copy, Clone, Debug, Default)]
+pub struct EntryBranches {
+    /// Bit per block slot: does `ids[slot]` hold a record?
+    mask: u8,
+    ids: [BranchId; 8],
+}
+
+impl EntryBranches {
+    /// Attaches the record of the branch in block slot `offset` (0..8).
+    #[inline]
+    pub(crate) fn push(&mut self, offset: usize, id: BranchId) {
+        debug_assert!(self.mask >> offset & 1 == 0, "one record per slot");
+        self.mask |= 1 << offset;
+        self.ids[offset] = id;
+    }
+
+    /// Detaches the record of block slot `offset`, if it holds one.
+    #[inline]
+    pub(crate) fn take(&mut self, offset: usize) -> Option<BranchId> {
+        let bit = 1u8 << offset;
+        (self.mask & bit != 0).then(|| {
+            self.mask &= !bit;
+            self.ids[offset]
+        })
+    }
+
+    /// Number of records attached.
+    pub fn len(&self) -> usize {
+        self.mask.count_ones() as usize
+    }
+
+    /// Returns `true` when no records are attached.
+    pub fn is_empty(&self) -> bool {
+        self.mask == 0
+    }
+
+    /// Detaches every record, returning each to `slab`.
+    pub(crate) fn release_all(&mut self, slab: &mut BranchSlab) {
+        while self.mask != 0 {
+            let offset = self.mask.trailing_zeros() as usize;
+            self.mask &= self.mask - 1;
+            slab.release(self.ids[offset]);
+        }
+    }
 }
 
 /// Fill-pipeline state of an FTQ entry (paper's 2-bit State field,
@@ -92,11 +209,10 @@ pub struct FtqEntry {
     /// Number of leading slots (from `start`) that matched the committed
     /// path at prediction time.
     pub matched: usize,
-    /// Speculation records for the actual branches in this entry. Each
-    /// record is boxed once at prediction time and travels by pointer
-    /// through fetch, dispatch, and resolution without being re-copied
-    /// (the checkpoint inside is several hundred bytes).
-    pub branches: Vec<Box<SlotBranch>>,
+    /// Speculation records of the actual branches in this entry, by
+    /// block slot: indices into the simulator's slab, which holds each
+    /// record from prediction until it resolves or is flushed.
+    pub branches: EntryBranches,
     /// Fill-pipeline state.
     pub fill: FillState,
     /// Next slot offset to fetch (starts at `start.ftq_offset()`).
@@ -118,7 +234,7 @@ impl FtqEntry {
             hints: 0,
             first_seq: None,
             matched: 0,
-            branches: Vec::new(),
+            branches: EntryBranches::default(),
             fill: FillState::Waiting,
             fetched_upto: start.ftq_offset(),
             head_since: None,

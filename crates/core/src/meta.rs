@@ -10,12 +10,13 @@
 //!
 //! [`StaticMeta`] computes everything once per [`Program`] into a
 //! structure of flat arrays indexed by image slot: a dense one-byte kind
-//! tag, a property-bit byte, the statically-embedded target, and the
-//! slot's cache-line number. The perfect-BTB visibility rule (§VI-A:
-//! real BTBs only ever allocate branches that are taken at least once,
-//! so never-taken conditionals stay undetectable) is folded into the
-//! property bits, so configurations with `perfect_btb` derive their
-//! lookup lazily from here instead of re-walking the behaviour models.
+//! tag, a property-bit byte, and the statically-embedded target (a
+//! slot's address and cache line follow from its index). The perfect-BTB
+//! visibility rule (§VI-A: real BTBs only ever allocate branches that are
+//! taken at least once, so never-taken conditionals stay undetectable) is
+//! folded into the property bits, so configurations with `perfect_btb`
+//! derive their lookup lazily from here instead of re-walking the
+//! behaviour models.
 
 #![deny(
     clippy::unwrap_used,
@@ -128,29 +129,25 @@ pub struct StaticMeta {
     /// Embedded branch target per slot ([`Addr::NULL`] for non-branches,
     /// indirect branches, and returns).
     targets: Vec<Addr>,
-    /// Cache-line number per slot.
-    lines: Vec<u64>,
 }
 
 impl StaticMeta {
     /// Decodes the whole image (and the behaviour models backing the
-    /// perfect-BTB visibility bit) into flat arrays.
+    /// perfect-BTB visibility bit) into flat arrays, in one walk over the
+    /// image and behaviour slices.
     pub fn new(program: &Program) -> Self {
         let image = program.image();
         let n = image.len();
         let mut tags = Vec::with_capacity(n);
         let mut flags = Vec::with_capacity(n);
         let mut targets = Vec::with_capacity(n);
-        let mut lines = Vec::with_capacity(n);
-        for i in 0..n {
-            let addr = image.addr_of(i);
-            let kind = image.instr_at(addr).kind;
+        for (si, behavior) in image.instrs().iter().zip(program.behaviors()) {
+            let kind = si.kind;
             tags.push(tag_of(kind));
             targets.push(match kind {
                 InstrKind::Branch { target, .. } => target,
                 InstrKind::Op(_) => Addr::NULL,
             });
-            lines.push(addr.line_number());
             let mut f = 0u8;
             if let InstrKind::Branch { kind: bk, .. } = kind {
                 f |= F_BRANCH;
@@ -175,7 +172,7 @@ impl StaticMeta {
                 let visible = if bk.is_unconditional() {
                     true
                 } else {
-                    match program.behavior_at(addr) {
+                    match behavior {
                         Some(BranchBehavior::Bias { p_taken }) => *p_taken >= 0.02,
                         _ => true,
                     }
@@ -191,7 +188,6 @@ impl StaticMeta {
             tags,
             flags,
             targets,
-            lines,
         }
     }
 
@@ -244,9 +240,13 @@ impl StaticMeta {
     }
 
     /// Cache-line number of slot `idx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of bounds.
     #[inline]
     pub fn line(&self, idx: usize) -> u64 {
-        self.lines[idx]
+        self.addr_of(idx).line_number()
     }
 
     /// Dense kind tag at `pc` ([`TAG_ALU`], i.e. NOP, when unmapped —

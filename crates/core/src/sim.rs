@@ -23,14 +23,14 @@
 use crate::backend::{DataAddressGen, FetchedInstr, RobEntry, UnresolvedBranch};
 use crate::config::CoreConfig;
 use crate::dists::SimDists;
-use crate::ftq::{FillState, Ftq, FtqEntry, SlotBranch};
+use crate::ftq::{BranchId, BranchSlab, FillState, Ftq, FtqEntry, SlotBranch};
 use crate::hist::HistState;
 use crate::meta::{self, StaticMeta};
 use crate::oracle::Oracle;
 use crate::predictors::Predictors;
 use crate::probe::ProbeTable;
 use crate::stats::{SimStats, StallReason};
-use fdip_bpred::{IttagePrediction, TagePrediction};
+use fdip_bpred::{HistoryPolicy, IttagePrediction, TagePrediction};
 use fdip_mem::{FillSrc, Hierarchy};
 use fdip_prefetch::Prefetcher;
 use fdip_program::{ExecutionEngine, Program};
@@ -52,6 +52,8 @@ pub struct Simulator<'p> {
     mem: Hierarchy,
     prefetcher: Prefetcher,
     ftq: Ftq,
+    /// The branch records the FTQ, `dq` and `unresolved` refer to.
+    slab: BranchSlab,
     dq: VecDeque<FetchedInstr>,
     rob: VecDeque<RobEntry>,
     unresolved: VecDeque<UnresolvedBranch>,
@@ -111,21 +113,22 @@ impl<'p> Simulator<'p> {
         let meta = StaticMeta::new(program);
         let mut preds = preds;
         // Functional warm-up: replay the committed stream architecturally
-        // and train the BTB, as ChampSim's long warm-up does.
+        // and train the BTB, as ChampSim's long warm-up does. Only
+        // branches touch the BTB, so the engine skips straight-line runs.
         if cfg.func_warmup > 0 {
-            let mut engine = ExecutionEngine::new(program, seed);
-            for _ in 0..cfg.func_warmup {
-                let d = engine.step();
-                if let Some(kind) = d.kind.branch_kind() {
-                    if d.taken {
-                        preds.btb.insert(d.pc, kind, d.next_pc);
-                    } else if cfg.policy.allocate_not_taken() {
-                        if let Some(t) = meta.static_target_at(d.pc) {
-                            preds.btb.insert(d.pc, kind, t);
-                        }
+            let allocate_not_taken = cfg.policy.allocate_not_taken();
+            ExecutionEngine::new(program, seed).advance(cfg.func_warmup, |d| {
+                let Some(kind) = d.kind.branch_kind() else {
+                    return;
+                };
+                if d.taken {
+                    preds.btb.insert(d.pc, kind, d.next_pc);
+                } else if allocate_not_taken {
+                    if let Some(t) = meta.static_target_at(d.pc) {
+                        preds.btb.insert(d.pc, kind, t);
                     }
                 }
-            }
+            });
         }
         let perfect_btb_bits = if cfg.perfect_btb {
             meta.perfect_btb_bits()
@@ -141,6 +144,7 @@ impl<'p> Simulator<'p> {
             mem,
             prefetcher,
             ftq: Ftq::new(cfg.ftq_entries),
+            slab: BranchSlab::default(),
             dq: VecDeque::with_capacity(backend.decode_queue),
             rob: VecDeque::with_capacity(backend.rob_size),
             unresolved: VecDeque::new(),
@@ -406,61 +410,29 @@ impl<'p> Simulator<'p> {
                 break;
             };
             let actual = *self.oracle.get(u.seq);
-            let predicted_next = if u.rec.predicted_taken {
-                u.rec.predicted_target
+            let rec = self.slab.get(u.rec);
+            let predicted_next = if rec.predicted_taken {
+                rec.predicted_target
             } else {
                 u.pc.next_instr()
             };
             let mispredicted = predicted_next != actual.next_pc;
-            self.train(&u, actual.taken, actual.next_pc);
+            train(
+                &mut self.preds,
+                &self.meta,
+                self.cfg.policy,
+                &u,
+                rec,
+                actual.taken,
+                actual.next_pc,
+            );
             if mispredicted {
                 self.stats.mispredicts += 1;
-                self.categorize_mispredict(&u, actual.taken);
+                categorize_mispredict(&mut self.stats, &u, rec, actual.taken);
                 self.stats.flushes += 1;
                 self.flush_after(&u, actual.taken, actual.next_pc);
             }
-        }
-    }
-
-    fn categorize_mispredict(&mut self, u: &UnresolvedBranch, actual_taken: bool) {
-        if !u.rec.detected && actual_taken && !u.rec.predicted_taken {
-            self.stats.misp_undetected += 1;
-        } else if u.kind.is_conditional() && u.rec.predicted_taken != actual_taken {
-            self.stats.misp_cond_dir += 1;
-        } else if u.kind.is_indirect() {
-            self.stats.misp_indirect += 1;
-        } else if u.kind.is_return() {
-            self.stats.misp_return += 1;
-        } else {
-            self.stats.misp_cond_dir += 1;
-        }
-    }
-
-    fn train(&mut self, u: &UnresolvedBranch, actual_taken: bool, actual_next: Addr) {
-        if u.kind.is_conditional() {
-            if let Some(lp) = self.preds.loop_pred.as_mut() {
-                lp.update(u.pc, actual_taken);
-            }
-            self.preds.dir.update(
-                u.pc,
-                &u.rec.ckpt.folds,
-                &u.rec.ckpt.ideal_dir,
-                actual_taken,
-                u.rec.tage_pred,
-            );
-        }
-        if u.kind.is_indirect() {
-            self.preds
-                .ittage
-                .update(u.pc, &u.rec.ckpt.folds, actual_next, u.rec.itt_pred);
-        }
-        // BTB allocation policy (Table V column).
-        if actual_taken {
-            self.preds.btb.insert(u.pc, u.kind, actual_next);
-        } else if self.cfg.policy.allocate_not_taken() {
-            if let Some(t) = self.meta.static_target_at(u.pc) {
-                self.preds.btb.insert(u.pc, u.kind, t);
-            }
+            self.slab.release(u.rec);
         }
     }
 
@@ -469,11 +441,18 @@ impl<'p> Simulator<'p> {
     fn flush_after(&mut self, u: &UnresolvedBranch, actual_taken: bool, actual_next: Addr) {
         let id = u.id;
         self.rob.retain(|e| e.id <= id);
-        self.unresolved.retain(|b| b.id <= id);
-        self.dq.clear();
-        self.ftq.flush_all();
+        let slab = &mut self.slab;
+        self.unresolved.retain(|b| {
+            let keep = b.id <= id;
+            if !keep {
+                slab.release(b.rec);
+            }
+            keep
+        });
+        self.clear_dq();
+        self.flush_ftq();
 
-        let mut h = u.rec.ckpt;
+        let mut h = self.slab.get(u.rec).ckpt;
         h.record_branch(
             &self.preds.plan,
             self.cfg.policy,
@@ -504,6 +483,32 @@ impl<'p> Simulator<'p> {
         );
         if let Some(lp) = self.preds.loop_pred.as_mut() {
             lp.flush_speculation();
+        }
+    }
+
+    /// Empties the decode queue, returning its branch records to the slab.
+    fn clear_dq(&mut self) {
+        for fi in self.dq.drain(..) {
+            if let Some(b) = fi.branch {
+                self.slab.release(b);
+            }
+        }
+    }
+
+    /// Empties the FTQ, returning its branch records to the slab.
+    fn flush_ftq(&mut self) {
+        for e in self.ftq.iter_mut() {
+            e.branches.release_all(&mut self.slab);
+        }
+        self.ftq.flush_all();
+    }
+
+    /// Pops the FTQ head, returning the branch records it still holds to
+    /// the slab, and classifies its fill exposure.
+    fn pop_ftq_head(&mut self) {
+        if let Some(mut e) = self.ftq.pop_head() {
+            e.branches.release_all(&mut self.slab);
+            self.classify_exposure(&e);
         }
     }
 
@@ -562,15 +567,19 @@ impl<'p> Simulator<'p> {
             let complete_at = self.now + self.cfg.backend.frontend_depth + lat;
             let is_branch = meta::tag_is_branch(fi.tag);
             let is_cond = fi.tag == meta::TAG_COND_DIRECT;
-            if let (Some(seq), Some(rec)) = (fi.seq, fi.branch) {
-                self.unresolved.push_back(UnresolvedBranch {
-                    id: fi.id,
-                    resolve_at: self.now + self.cfg.backend.frontend_depth + 1,
-                    pc: fi.pc,
-                    seq,
-                    kind: rec.kind,
-                    rec,
-                });
+            if let Some(rec) = fi.branch {
+                match fi.seq {
+                    Some(seq) => self.unresolved.push_back(UnresolvedBranch {
+                        id: fi.id,
+                        resolve_at: self.now + self.cfg.backend.frontend_depth + 1,
+                        pc: fi.pc,
+                        seq,
+                        kind: self.slab.get(rec).kind,
+                        rec,
+                    }),
+                    // A wrong-path branch never resolves.
+                    None => self.slab.release(rec),
+                }
             }
             self.rob.push_back(RobEntry {
                 id: fi.id,
@@ -711,9 +720,7 @@ impl<'p> Simulator<'p> {
                 break;
             }
             if head.is_drained() {
-                if let Some(e) = self.ftq.pop_head() {
-                    self.classify_exposure(&e);
-                }
+                self.pop_ftq_head();
                 continue;
             }
             let slot = head.fetched_upto;
@@ -721,11 +728,7 @@ impl<'p> Simulator<'p> {
             let seq = head.seq_of_offset(slot);
             let is_term = head.predicted_taken && slot == head.end_offset;
             let hint = (head.hints >> slot) & 1 == 1;
-            let rec = if head.branches.first().map(|b| b.offset) == Some(slot) {
-                Some(head.branches.remove(0))
-            } else {
-                None
-            };
+            let rec = head.branches.take(slot);
             head.fetched_upto += 1;
             let drained = head.is_drained();
 
@@ -733,9 +736,11 @@ impl<'p> Simulator<'p> {
             let id = self.next_id;
             self.next_id += 1;
 
-            if let Some(mut r) = rec {
+            if let Some(b) = rec {
                 if !is_term {
-                    if let Some((taken, target, case1)) = self.pfc_decision(&r, pc, hint) {
+                    if let Some((taken, target, case1)) =
+                        self.pfc_decision(self.slab.get(b), pc, hint)
+                    {
                         // Restream: fix history, flush, push the branch
                         // with its corrected prediction.
                         if case1 {
@@ -748,22 +753,21 @@ impl<'p> Simulator<'p> {
                         } else {
                             self.stats.fixup_flushes += 1;
                         }
+                        let r = self.slab.get_mut(b);
                         r.predicted_taken = taken;
                         r.predicted_target = target;
-                        self.restream(&r, pc, seq, taken, target);
+                        self.restream(b, pc, seq, taken, target);
                         self.dq.push_back(FetchedInstr {
                             id,
                             pc,
                             tag,
                             seq,
-                            branch: Some(r),
+                            branch: Some(b),
                         });
                         // The rest of the head entry and everything
                         // younger is flushed.
-                        if let Some(e) = self.ftq.pop_head() {
-                            self.classify_exposure(&e);
-                        }
-                        self.ftq.flush_all();
+                        self.pop_ftq_head();
+                        self.flush_ftq();
                         break;
                     }
                 }
@@ -772,6 +776,8 @@ impl<'p> Simulator<'p> {
                 // wrong-path noise cannot scramble the signatures), with
                 // the frontend's target view.
                 let on_path = seq.is_some();
+                let r = self.slab.get(b);
+                let kind = r.kind;
                 let pf_target = if r.predicted_taken {
                     r.predicted_target
                 } else {
@@ -780,7 +786,7 @@ impl<'p> Simulator<'p> {
                 if on_path {
                     let before = self.pf_scratch.len();
                     self.prefetcher
-                        .on_branch(pc, r.kind, pf_target, &mut self.pf_scratch);
+                        .on_branch(pc, kind, pf_target, &mut self.pf_scratch);
                     self.stats.prefetch_candidates += (self.pf_scratch.len() - before) as u64;
                     while let Some(l) = self.pf_scratch.pop() {
                         self.pf_queue.push_back(l);
@@ -791,7 +797,7 @@ impl<'p> Simulator<'p> {
                     pc,
                     tag,
                     seq,
-                    branch: Some(r),
+                    branch: Some(b),
                 });
             } else {
                 self.dq.push_back(FetchedInstr {
@@ -803,9 +809,7 @@ impl<'p> Simulator<'p> {
                 });
             }
             if drained {
-                if let Some(e) = self.ftq.pop_head() {
-                    self.classify_exposure(&e);
-                }
+                self.pop_ftq_head();
             }
             fetched += 1;
         }
@@ -848,16 +852,17 @@ impl<'p> Simulator<'p> {
     }
 
     /// Re-steers the prediction pipeline from pre-decode (PFC or fixup).
-    fn restream(&mut self, r: &SlotBranch, pc: Addr, seq: Option<u64>, taken: bool, target: Addr) {
-        let mut h = r.ckpt;
+    fn restream(&mut self, b: BranchId, pc: Addr, seq: Option<u64>, taken: bool, target: Addr) {
+        let r = self.slab.get(b);
+        let (mut h, kind) = (r.ckpt, r.kind);
         if taken || !self.cfg.policy.uses_target_history() {
             h.record_branch(&self.preds.plan, self.cfg.policy, pc, taken, target);
         }
         h.push_ideal_dir(taken);
-        if taken && r.kind.is_call() {
+        if taken && kind.is_call() {
             h.ras.push(pc.next_instr());
         }
-        if taken && r.kind.is_return() {
+        if taken && kind.is_return() {
             h.ras.pop();
         }
         self.hist = h;
@@ -1005,11 +1010,10 @@ impl<'p> Simulator<'p> {
 
             // --- Checkpoint before this slot's speculative effects.
             // Only branch slots need one, and the copy is several hundred
-            // bytes, so it is written straight into the boxed record the
-            // branch will travel in (predictions are patched in below).
+            // bytes, so it is written straight into the slab slot the
+            // branch will travel by (predictions are patched in below).
             let mut rec = actual_branch.map(|k| {
-                Box::new(SlotBranch {
-                    offset,
+                self.slab.insert(SlotBranch {
                     kind: k,
                     ckpt: self.hist,
                     tage_pred,
@@ -1087,11 +1091,12 @@ impl<'p> Simulator<'p> {
                 if hint {
                     e.hints |= 1 << offset;
                 }
-                if let Some(mut r) = rec.take() {
+                if let Some(b) = rec.take() {
+                    let r = self.slab.get_mut(b);
                     r.itt_pred = itt_pred;
                     r.predicted_taken = predicted_taken;
                     r.predicted_target = predicted_target;
-                    e.branches.push(r);
+                    e.branches.push(offset, b);
                 }
             }
 
@@ -1174,6 +1179,64 @@ impl<'p> Simulator<'p> {
         // Bound queue growth under pathological candidate floods (drop
         // the newest, least-urgent candidates).
         self.pf_queue.truncate(256);
+    }
+}
+
+/// Trains the predictors with a resolved branch's outcome, using the
+/// histories and predictions its record checkpointed.
+fn train(
+    preds: &mut Predictors,
+    meta: &StaticMeta,
+    policy: HistoryPolicy,
+    u: &UnresolvedBranch,
+    rec: &SlotBranch,
+    actual_taken: bool,
+    actual_next: Addr,
+) {
+    if u.kind.is_conditional() {
+        if let Some(lp) = preds.loop_pred.as_mut() {
+            lp.update(u.pc, actual_taken);
+        }
+        preds.dir.update(
+            u.pc,
+            &rec.ckpt.folds,
+            &rec.ckpt.ideal_dir,
+            actual_taken,
+            rec.tage_pred,
+        );
+    }
+    if u.kind.is_indirect() {
+        preds
+            .ittage
+            .update(u.pc, &rec.ckpt.folds, actual_next, rec.itt_pred);
+    }
+    // BTB allocation policy (Table V column).
+    if actual_taken {
+        preds.btb.insert(u.pc, u.kind, actual_next);
+    } else if policy.allocate_not_taken() {
+        if let Some(t) = meta.static_target_at(u.pc) {
+            preds.btb.insert(u.pc, u.kind, t);
+        }
+    }
+}
+
+/// Charges a misprediction to its cause counter.
+fn categorize_mispredict(
+    stats: &mut SimStats,
+    u: &UnresolvedBranch,
+    rec: &SlotBranch,
+    actual_taken: bool,
+) {
+    if !rec.detected && actual_taken && !rec.predicted_taken {
+        stats.misp_undetected += 1;
+    } else if u.kind.is_conditional() && rec.predicted_taken != actual_taken {
+        stats.misp_cond_dir += 1;
+    } else if u.kind.is_indirect() {
+        stats.misp_indirect += 1;
+    } else if u.kind.is_return() {
+        stats.misp_return += 1;
+    } else {
+        stats.misp_cond_dir += 1;
     }
 }
 
@@ -1416,6 +1479,47 @@ mod tests {
             (mean - overall).abs() < overall * 0.5,
             "sample mean {mean} far from overall IPC {overall}"
         );
+    }
+
+    /// Branch records still held by the FTQ, the decode queue and the
+    /// unresolved list.
+    fn held_records(sim: &Simulator) -> usize {
+        sim.ftq.iter().map(|e| e.branches.len()).sum::<usize>()
+            + sim.dq.iter().filter(|fi| fi.branch.is_some()).count()
+            + sim.unresolved.len()
+    }
+
+    #[test]
+    fn branch_slab_holds_exactly_the_in_flight_records() {
+        // A small BTB under GHR fixup, on a footprint it cannot hold: PFC
+        // restreams, fixup flushes and execute-time flushes all drop
+        // records.
+        let p = ProgramBuilder::new(ProgramParams {
+            seed: 11,
+            num_funcs: 600,
+            ..ProgramParams::default()
+        })
+        .build("big");
+        let cfg = CoreConfig::fdp()
+            .with_btb_entries(1024)
+            .with_policy(HistoryPolicy::Ghr2);
+        let mut sim = Simulator::new(cfg, &p, 1);
+        sim.run(0, 20_000);
+        let slots = sim.slab.slots();
+        let before = sim.collect();
+        while sim.stats.retired < 120_000 {
+            sim.step();
+            assert_eq!(sim.slab.live(), held_records(&sim), "cycle {}", sim.now);
+        }
+        let s = sim.collect().delta(&before);
+        assert!(
+            s.flushes > 20 && s.pfc_restreams > 20 && s.fixup_flushes > 20,
+            "{} flushes, {} restreams, {} fixups",
+            s.flushes,
+            s.pfc_restreams,
+            s.fixup_flushes
+        );
+        assert_eq!(sim.slab.slots(), slots, "the slab grew after warm-up");
     }
 
     #[test]

@@ -78,14 +78,9 @@ impl<'a> ExecutionEngine<'a> {
     /// Executes one instruction and returns it.
     pub fn step(&mut self) -> DynInstr {
         let image = self.program.image();
-        if !image.contains(self.pc) {
-            // Should not happen on a well-formed program; recover anyway.
-            self.pc = self.program.entry();
-            self.ret_stack.clear();
-        }
+        let idx = self.slot();
         let pc = self.pc;
-        let idx = image.index_of(pc).expect("pc is mapped");
-        let si = image.instr_at(pc);
+        let si = image.instrs()[idx];
 
         let (taken, next_pc) = match si.kind {
             InstrKind::Op(_) => (false, pc.next_instr()),
@@ -132,6 +127,55 @@ impl<'a> ExecutionEngine<'a> {
             taken,
             next_pc,
         }
+    }
+
+    /// Executes `n` instructions exactly as `n` calls of
+    /// [`step`](Self::step) would, passing only the branches to
+    /// `on_branch`, in order.
+    ///
+    /// A non-branch instruction changes nothing but the program counter
+    /// and the executed count, so each straight-line run is skipped in one
+    /// step, found by scanning the image from `pc`; every branch goes
+    /// through `step` itself.
+    pub fn advance(&mut self, n: u64, mut on_branch: impl FnMut(DynInstr)) {
+        let image = self.program.image();
+        let mut left = n;
+        while left > 0 {
+            let idx = self.slot();
+            let ahead = &image.instrs()[idx..];
+            let cap = usize::try_from(left).map_or(ahead.len(), |l| l.min(ahead.len()));
+            let run = ahead[..cap]
+                .iter()
+                .position(|si| si.kind.is_branch())
+                .unwrap_or(cap);
+            if run == 0 {
+                on_branch(self.step());
+                left -= 1;
+                continue;
+            }
+            self.executed += run as u64;
+            left -= run as u64;
+            if run < ahead.len() {
+                self.pc = image.addr_of(idx + run);
+            } else {
+                // The run fell off the image end: restart at the
+                // dispatcher, as `step` does.
+                self.ret_stack.clear();
+                self.pc = self.program.entry();
+            }
+        }
+    }
+
+    /// Image slot of `pc`. An unmapped `pc` (which a well-formed program
+    /// never produces) restarts the program at its entry.
+    fn slot(&mut self) -> usize {
+        let image = self.program.image();
+        if let Some(idx) = image.index_of(self.pc) {
+            return idx;
+        }
+        self.pc = self.program.entry();
+        self.ret_stack.clear();
+        image.index_of(self.pc).expect("the entry is mapped")
     }
 
     fn push_return(&mut self, ra: Addr) {

@@ -42,6 +42,11 @@ impl CodeImage {
         self.instrs.len() as u64 * INSTR_BYTES
     }
 
+    /// The instructions, one per slot in address order.
+    pub fn instrs(&self) -> &[StaticInstr] {
+        &self.instrs
+    }
+
     /// Index of the instruction slot holding `addr`, if mapped.
     pub fn index_of(&self, addr: Addr) -> Option<usize> {
         let off = addr.raw().checked_sub(self.base.raw())?;
@@ -135,6 +140,11 @@ impl Program {
     /// Behaviour model by instruction slot index.
     pub(crate) fn behavior_by_index(&self, idx: usize) -> Option<&BranchBehavior> {
         self.behaviors.get(idx).and_then(|b| b.as_ref())
+    }
+
+    /// Behaviour models, one per image slot (only branches have one).
+    pub fn behaviors(&self) -> &[Option<BranchBehavior>] {
+        &self.behaviors
     }
 
     /// Number of static branch instructions.

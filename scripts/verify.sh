@@ -171,6 +171,20 @@ test -s "$tmp/bench.json"
 grep -q '"instrs_per_sec"' "$tmp/bench.json"
 echo "    bench document written"
 
+echo "==> benchmark package: unit tests, check, short single and fuzz runs"
+# benchmark/ is a package of its own (benchmark/README.md) that builds the
+# library crates from source through their public APIs, and the
+# workspace's build and tests above do not cover it. A change that breaks
+# it fails here instead of in the benchmark run after merge.
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- check > /dev/null
+for workload in single fuzz; do
+  cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+    run --workload "$workload" --seed 0 --seconds 2 --trace 0 \
+    --out-dir "$tmp/bench-out-$workload" > /dev/null
+done
+echo "    benchmark tests pass; check clean; single and fuzz runs exit 0"
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
