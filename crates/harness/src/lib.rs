@@ -23,14 +23,12 @@
 //!   available cores; `--jobs <n>` on the binaries overrides). Results
 //!   are identical for any value — only wall-clock changes.
 
-pub mod bench;
 pub mod experiments;
 pub mod remote;
 mod report;
 mod runner;
 mod suite;
 
-pub use bench::{BenchBaseline, BenchResult, BenchWorkload};
 pub use remote::RemoteClient;
 pub use report::{experiments_json, Report, Table};
 pub use runner::{geomean, Runner};

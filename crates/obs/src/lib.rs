@@ -4,8 +4,8 @@
 //! stack: structured logging, a metrics registry with Prometheus text
 //! exposition, and wall-clock span tracing for grid lifecycles.
 //!
-//! The simulator already has *result* telemetry (`fdip-telemetry`,
-//! Documents 1–8 of `docs/METRICS.md`) and *cycle-domain* tracing
+//! The simulator already has *result* telemetry (`fdip-telemetry`, the
+//! documents of `docs/METRICS.md`) and *cycle-domain* tracing
 //! (`fdip-trace`). What it lacked was the operational layer an
 //! operator of the `fdip-serve` daemon needs: "why is this grid slow",
 //! "what is my cache hit rate over time", "which worker is wedged".
@@ -24,9 +24,9 @@
 //!   format, used by tests and `fdip-serve ctl metrics` so the scrape
 //!   surface is checked against an independent reading of the spec.
 //! * [`span`] — a bounded recorder of wall-clock lifecycle spans
-//!   (submit → classify → simulate → assemble → respond), exported as
-//!   Chrome `trace_event` JSON in the Document 4 vocabulary so a slow
-//!   grid opens in Perfetto next to the simulator's cycle traces.
+//!   (submit → classify → simulate → assemble → respond), exported
+//!   through [`fdip_telemetry::chrome_trace`] like `fdip-run --trace`,
+//!   so a slow grid opens in Perfetto next to the simulator's traces.
 //!
 //! **Determinism contract.** Observability must never perturb results:
 //! every wall-clock read in this crate is confined to [`clock`] (the

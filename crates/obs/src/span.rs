@@ -4,10 +4,10 @@
 //! `fdip-trace` records *cycle-domain* events inside a simulation; this
 //! module records the *wall-clock* life of a grid inside `fdip-serve`:
 //! submit → classify → simulate → assemble → respond, with coalesce
-//! and resume edges as instants. The export uses the same Document 4
-//! vocabulary (`traceEvents`, `ph`, `ts`, `dur`, `args`, …) so a dump
-//! opens in Perfetto/`chrome://tracing` beside the simulator's cycle
-//! traces, and the schema-drift lint sees no new wire keys.
+//! and resume edges as instants. Both export through one writer,
+//! [`fdip_telemetry::chrome_trace`], which sorts events by `ts` (a
+//! slice is recorded when it ends), so a dump is a Document 4 trace
+//! file (`docs/METRICS.md`) that opens in Perfetto/`chrome://tracing`.
 //!
 //! A [`SpanRecorder`] is created per grid, carries its own epoch
 //! ([`crate::clock::Timer`]), and keeps at most [`SPAN_CAPACITY`]
@@ -19,7 +19,7 @@ use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
-use fdip_telemetry::Json;
+use fdip_telemetry::{chrome_trace, ChromeEvent, Json};
 
 use crate::clock::Timer;
 
@@ -31,37 +31,16 @@ pub const SPAN_CAPACITY: usize = 16 * 1024;
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Track {
     /// Grid-level lifecycle (submit, classify, assemble, respond).
-    Grid,
+    Grid = 0,
     /// Per-cell work (simulate slices, cache commits).
-    Cells,
+    Cells = 1,
 }
 
-impl Track {
-    fn tid(self) -> u64 {
-        match self {
-            Track::Grid => 0,
-            Track::Cells => 1,
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Track::Grid => "grid lifecycle",
-            Track::Cells => "cells",
-        }
-    }
-}
-
-enum Ev {
-    /// Complete event (`ph:"X"`): name, track, start µs, duration µs,
-    /// args.
-    Slice(String, Track, u64, u64, Json),
-    /// Instant event (`ph:"i"`): name, track, timestamp µs, args.
-    Mark(String, Track, u64, Json),
-}
+/// Track names, indexed by [`Track`].
+const TRACK_NAMES: [&str; 2] = ["grid lifecycle", "cells"];
 
 struct Inner {
-    events: Vec<Ev>,
+    events: Vec<ChromeEvent>,
     dropped: u64,
 }
 
@@ -95,7 +74,14 @@ impl SpanRecorder {
         self.t0.elapsed_micros()
     }
 
-    fn push(&self, ev: Ev) {
+    fn push(&self, track: Track, name: &str, ts: u64, dur: Option<u64>, args: Json) {
+        let ev = ChromeEvent {
+            name: name.to_string(),
+            tid: track as u64,
+            ts,
+            dur,
+            args: Some(args),
+        };
         let mut inner = self.inner.lock().expect("span lock");
         if inner.events.len() >= SPAN_CAPACITY {
             inner.dropped += 1;
@@ -106,14 +92,14 @@ impl SpanRecorder {
 
     /// Records an instant (a point in time) on `track`, stamped now.
     pub fn instant(&self, track: Track, name: &str, args: Json) {
-        self.push(Ev::Mark(name.to_string(), track, self.now_us(), args));
+        self.push(track, name, self.now_us(), None, args);
     }
 
     /// Records a complete span on `track` from `start_us`
     /// (a prior [`SpanRecorder::now_us`]) until now.
     pub fn slice(&self, track: Track, name: &str, start_us: u64, args: Json) {
         let dur = self.now_us().saturating_sub(start_us);
-        self.push(Ev::Slice(name.to_string(), track, start_us, dur, args));
+        self.push(track, name, start_us, Some(dur), args);
     }
 
     /// Events recorded so far (for tests and capacity checks).
@@ -131,52 +117,18 @@ impl SpanRecorder {
         self.inner.lock().expect("span lock").dropped
     }
 
-    /// The Chrome `trace_event` document: thread-name metadata for both
-    /// tracks, then every event in recording order.
+    /// The Chrome `trace_event` document of both tracks, through
+    /// [`chrome_trace`]: events in `ts` order, under pid 0.
     pub fn to_chrome_trace(&self) -> Json {
         let inner = self.inner.lock().expect("span lock");
-        let mut events = Vec::with_capacity(inner.events.len() + 2);
-        for track in [Track::Grid, Track::Cells] {
-            events.push(
-                Json::obj()
-                    .with("name", "thread_name")
-                    .with("ph", "M")
-                    .with("pid", 1u64)
-                    .with("tid", track.tid())
-                    .with("args", Json::obj().with("name", track.name())),
-            );
-        }
-        for ev in &inner.events {
-            events.push(match ev {
-                Ev::Slice(name, track, ts, dur, args) => Json::obj()
-                    .with("name", name.as_str())
-                    .with("ph", "X")
-                    .with("pid", 1u64)
-                    .with("tid", track.tid())
-                    .with("ts", *ts)
-                    .with("dur", *dur)
-                    .with("args", args.clone()),
-                Ev::Mark(name, track, ts, args) => Json::obj()
-                    .with("name", name.as_str())
-                    .with("ph", "i")
-                    .with("s", "t")
-                    .with("pid", 1u64)
-                    .with("tid", track.tid())
-                    .with("ts", *ts)
-                    .with("args", args.clone()),
-            });
-        }
-        Json::obj()
-            .with("traceEvents", Json::Arr(events))
-            .with("displayTimeUnit", "ms")
-            .with(
-                "metadata",
-                Json::obj()
-                    .with("tool", "fdip-serve")
-                    .with("clock", "wall-clock microseconds since grid submission")
-                    .with("dropped_events", inner.dropped)
-                    .with("ring_capacity", SPAN_CAPACITY as u64),
-            )
+        chrome_trace(
+            &TRACK_NAMES,
+            &inner.events,
+            "fdip-serve",
+            "wall-clock microseconds since grid submission",
+            inner.dropped,
+            SPAN_CAPACITY as u64,
+        )
     }
 
     /// Writes the trace to `<dir>/grid-<grid_id>.json` atomically
@@ -208,26 +160,29 @@ mod tests {
     #[test]
     fn export_carries_both_tracks_and_events_in_order() {
         let rec = SpanRecorder::new();
-        let start = rec.now_us();
+        std::thread::sleep(std::time::Duration::from_millis(1));
         rec.instant(Track::Grid, "submit", Json::obj().with("cells", 4u64));
-        rec.slice(
-            Track::Cells,
-            "simulate",
-            start,
-            Json::obj().with("cell", 0u64),
-        );
+        // Recorded after `submit`, but it started first.
+        rec.slice(Track::Cells, "simulate", 0, Json::obj().with("cell", 0u64));
         let doc = rec.to_chrome_trace();
         let events = match doc.get("traceEvents") {
             Some(Json::Arr(a)) => a,
             other => panic!("traceEvents missing: {other:?}"),
         };
         assert_eq!(events.len(), 4); // 2 metas + 2 events
-        assert_eq!(events[0].get("ph").and_then(Json::as_str), Some("M"));
-        assert_eq!(events[2].get("name").and_then(Json::as_str), Some("submit"));
-        assert_eq!(events[2].get("ph").and_then(Json::as_str), Some("i"));
-        assert_eq!(events[2].get("s").and_then(Json::as_str), Some("t"));
-        assert_eq!(events[3].get("ph").and_then(Json::as_str), Some("X"));
-        assert!(events[3].get("dur").is_some());
+        let field = |i: usize, k: &str| events[i].get(k).and_then(Json::as_str);
+        assert_eq!((field(0, "ph"), field(1, "ph")), (Some("M"), Some("M")));
+        assert_eq!(field(2, "name"), Some("simulate"));
+        assert_eq!(field(2, "ph"), Some("X"));
+        assert_eq!(events[2].get("ts").and_then(Json::as_u64), Some(0));
+        assert!(events[2].get("dur").is_some());
+        assert_eq!(field(3, "name"), Some("submit"));
+        assert_eq!(field(3, "ph"), Some("i"));
+        assert_eq!(field(3, "s"), Some("t"));
+        assert!(events[3].get("ts").and_then(Json::as_u64) >= Some(1_000));
+        for e in events {
+            assert_eq!(e.get("pid").and_then(Json::as_u64), Some(0));
+        }
         let meta = doc.get("metadata").expect("metadata");
         assert_eq!(meta.get("tool").and_then(Json::as_str), Some("fdip-serve"));
         assert_eq!(meta.get("dropped_events").and_then(Json::as_u64), Some(0));

@@ -17,6 +17,8 @@
 //!   [`SCHEMA_VERSION`].
 //! * [`RunManifest`] — provenance for a results file: tool, suite, run
 //!   lengths, git revision, wall time.
+//! * [`chrome_trace`] — the Chrome `trace_event` writer behind every
+//!   trace file (tracks, [`ChromeEvent`]s sorted by `ts`, metadata).
 //!
 //! Everything here is dependency-free and deterministic; nothing in this
 //! crate knows about the simulator (the `fdip-sim` and `fdip-harness`
@@ -37,11 +39,13 @@
 //! assert_eq!(round.get("count").and_then(Json::as_u64), Some(4));
 //! ```
 
+mod chrome;
 mod counter;
 mod hist;
 mod json;
 mod manifest;
 
+pub use chrome::{chrome_trace, ChromeEvent};
 pub use counter::Counter;
 pub use hist::{Bucket, Histogram};
 pub use json::{Json, JsonError};

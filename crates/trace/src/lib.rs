@@ -20,13 +20,13 @@
 //! Events are plain `(cycle, kind, a, b)` quadruples — 32 bytes, no
 //! heap — with the interpretation of `a`/`b` fixed per [`TraceEventKind`].
 //! [`Tracer::to_chrome_trace`] turns the buffer into a Chrome
-//! `trace_event` document using the in-repo JSON writer (no external
-//! dependencies): `StallTransition` pairs become duration (`"X"`) slices
-//! on one track, everything else becomes instant (`"i"`) events on a
-//! second track, with one simulated cycle mapped to one microsecond of
-//! trace time.
+//! `trace_event` document through the workspace's one writer,
+//! [`fdip_telemetry::chrome_trace`]: `StallTransition` pairs become
+//! duration (`"X"`) slices on one track, everything else becomes instant
+//! (`"i"`) events on a second track, with one simulated cycle mapped to
+//! one microsecond of trace time.
 
-use fdip_telemetry::Json;
+use fdip_telemetry::{chrome_trace, ChromeEvent, Json};
 
 /// What happened. The meaning of the generic payload words `a` and `b`
 /// is listed per variant.
@@ -204,63 +204,68 @@ impl Tracer {
         head.iter().chain(tail.iter())
     }
 
-    /// Exports the buffer as a Chrome `trace_event` JSON document
-    /// (object format, loadable in `chrome://tracing` and Perfetto).
-    ///
-    /// One simulated cycle maps to one microsecond of trace time (`ts`).
-    /// Consecutive `StallTransition` events are paired into duration
-    /// (`"X"`) slices on the "cycle attribution" track named by
-    /// `stall_labels[index]`; all other events become instant (`"i"`)
-    /// events on the "frontend events" track. Events are emitted in
-    /// non-decreasing `ts` order.
+    /// Exports the buffer through [`chrome_trace`], one simulated cycle
+    /// per microsecond of `ts`: consecutive `StallTransition`s pair into
+    /// slices named by `stall_labels[index]` on the "cycle attribution"
+    /// track, and every other event is an instant on "frontend events".
     pub fn to_chrome_trace(&self, stall_labels: &[&str]) -> Json {
-        let label = |i: u64| -> &str {
-            stall_labels
-                .get(i as usize)
-                .copied()
-                .unwrap_or("unknown-stall")
+        let slice = |start: u64, end: u64, reason: u64| ChromeEvent {
+            name: stall_labels
+                .get(reason as usize)
+                .unwrap_or(&"unknown-stall")
+                .to_string(),
+            tid: STALL_TRACK,
+            ts: start,
+            dur: Some(end - start),
+            args: None,
         };
-        // (ts, tie-break order, event) so a stable sort yields
-        // non-decreasing timestamps while preserving emission order
-        // within a cycle.
-        let mut out: Vec<(u64, Json)> = Vec::with_capacity(self.len() + 4);
+        let mut out = Vec::with_capacity(self.len() + 1);
         let mut open_stall: Option<(u64, u64)> = None;
         let first_cycle = self.events().next().map_or(0, |e| e.cycle);
         let mut last_cycle = first_cycle;
         for e in self.events() {
             last_cycle = last_cycle.max(e.cycle);
-            if e.kind == TraceEventKind::StallTransition {
-                let (start, reason) = open_stall.unwrap_or((first_cycle, e.b));
-                if e.cycle > start {
-                    out.push((start, stall_slice(start, e.cycle, label(reason))));
+            let args = match e.kind {
+                TraceEventKind::StallTransition => {
+                    let (start, reason) = open_stall.unwrap_or((first_cycle, e.b));
+                    if e.cycle > start {
+                        out.push(slice(start, e.cycle, reason));
+                    }
+                    open_stall = Some((e.cycle, e.a));
+                    continue;
                 }
-                open_stall = Some((e.cycle, e.a));
-            } else {
-                out.push((e.cycle, instant_event(e)));
-            }
+                TraceEventKind::FtqEnqueue => Json::obj().with("addr", e.a).with("line", e.b),
+                TraceEventKind::PrefetchIssue | TraceEventKind::PrefetchFill => {
+                    Json::obj().with("line", e.a)
+                }
+                TraceEventKind::PrefetchUse => Json::obj()
+                    .with("line", e.a)
+                    .with("source", if e.b & 1 == 1 { "prefetcher" } else { "fdp" })
+                    .with("late", e.b & 2 != 0),
+                TraceEventKind::Restream => Json::obj().with("pc", e.a).with("taken", e.b == 1),
+                TraceEventKind::Flush => Json::obj().with("pc", e.a).with("target", e.b),
+            };
+            out.push(ChromeEvent {
+                name: e.kind.name().to_string(),
+                tid: EVENT_TRACK,
+                ts: e.cycle,
+                dur: None,
+                args: Some(args),
+            });
         }
         if let Some((start, reason)) = open_stall {
             if last_cycle > start {
-                out.push((start, stall_slice(start, last_cycle, label(reason))));
+                out.push(slice(start, last_cycle, reason));
             }
         }
-        out.sort_by_key(|(ts, _)| *ts);
-        let mut events: Vec<Json> = vec![
-            thread_name_meta(STALL_TRACK, "cycle attribution"),
-            thread_name_meta(EVENT_TRACK, "frontend events"),
-        ];
-        events.extend(out.into_iter().map(|(_, j)| j));
-        Json::obj()
-            .with("traceEvents", Json::Arr(events))
-            .with("displayTimeUnit", "ms")
-            .with(
-                "metadata",
-                Json::obj()
-                    .with("tool", "fdip-run")
-                    .with("clock", "one simulated cycle = 1us of trace time")
-                    .with("dropped_events", self.dropped)
-                    .with("ring_capacity", self.capacity),
-            )
+        chrome_trace(
+            &["cycle attribution", "frontend events"],
+            &out,
+            "fdip-run",
+            "one simulated cycle = 1us of trace time",
+            self.dropped,
+            self.capacity as u64,
+        )
     }
 }
 
@@ -268,49 +273,6 @@ impl Tracer {
 const STALL_TRACK: u64 = 0;
 /// Chrome `tid` for the instant-event track.
 const EVENT_TRACK: u64 = 1;
-
-fn thread_name_meta(tid: u64, name: &str) -> Json {
-    Json::obj()
-        .with("name", "thread_name")
-        .with("ph", "M")
-        .with("pid", 0u64)
-        .with("tid", tid)
-        .with("args", Json::obj().with("name", name))
-}
-
-fn stall_slice(start: u64, end: u64, name: &str) -> Json {
-    Json::obj()
-        .with("name", name)
-        .with("ph", "X")
-        .with("ts", start)
-        .with("dur", end - start)
-        .with("pid", 0u64)
-        .with("tid", STALL_TRACK)
-}
-
-fn instant_event(e: &TraceEvent) -> Json {
-    let args = match e.kind {
-        TraceEventKind::FtqEnqueue => Json::obj().with("addr", e.a).with("line", e.b),
-        TraceEventKind::PrefetchIssue | TraceEventKind::PrefetchFill => {
-            Json::obj().with("line", e.a)
-        }
-        TraceEventKind::PrefetchUse => Json::obj()
-            .with("line", e.a)
-            .with("source", if e.b & 1 == 1 { "prefetcher" } else { "fdp" })
-            .with("late", e.b & 2 != 0),
-        TraceEventKind::Restream => Json::obj().with("pc", e.a).with("taken", e.b == 1),
-        TraceEventKind::Flush => Json::obj().with("pc", e.a).with("target", e.b),
-        TraceEventKind::StallTransition => unreachable!("handled as a slice"),
-    };
-    Json::obj()
-        .with("name", e.kind.name())
-        .with("ph", "i")
-        .with("ts", e.cycle)
-        .with("pid", 0u64)
-        .with("tid", EVENT_TRACK)
-        .with("s", "t")
-        .with("args", args)
-}
 
 #[cfg(test)]
 mod tests {

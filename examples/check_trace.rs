@@ -1,9 +1,10 @@
-//! Validate a `fdip-run --trace` Chrome trace_event file with the
-//! in-repo JSON parser: the document must parse, carry a non-empty
-//! `traceEvents` array, and its event timestamps must be non-decreasing
-//! (the exporter sorts by `ts` so Perfetto and `chrome://tracing` never
-//! see out-of-order events). `scripts/verify.sh` runs this as the trace
-//! smoke check.
+//! Validate a Chrome trace_event file (`docs/METRICS.md` Document 4)
+//! with the in-repo JSON parser: the document must parse, carry a
+//! non-empty `traceEvents` array holding at least one slice, put every
+//! event under pid 0, and its event timestamps must be non-decreasing
+//! (the writer sorts by `ts` so Perfetto and `chrome://tracing` never
+//! see out-of-order events). `scripts/verify.sh` runs this on every
+//! trace file it writes.
 //!
 //! ```text
 //! cargo run --example check_trace -- trace.json
@@ -43,6 +44,9 @@ fn main() {
             .get("name")
             .and_then(Json::as_str)
             .unwrap_or_else(|| fail("event without name"));
+        if e.get("pid").and_then(Json::as_u64) != Some(0) {
+            fail(&format!("{name} event not under pid 0"));
+        }
         if phase == "M" {
             continue; // metadata events carry no timestamp
         }
@@ -67,7 +71,7 @@ fn main() {
         fail("trace holds no timestamped events");
     }
     if slices == 0 {
-        fail("trace holds no cycle-attribution slices");
+        fail("trace holds no slices");
     }
     for (name, n) in &counts {
         println!("{name:<24} {n}");

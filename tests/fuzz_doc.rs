@@ -9,7 +9,8 @@
 //!   names, injection modes, config columns, and CLI flags the docs
 //!   spell out must exist in the code exactly as written.
 
-use std::collections::BTreeSet;
+mod support;
+
 use std::sync::Arc;
 
 use fdip_fuzz::{
@@ -18,50 +19,11 @@ use fdip_fuzz::{
 };
 use fdip_telemetry::{Json, SCHEMA_VERSION};
 
-fn fuzz_doc() -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/FUZZ.md");
-    std::fs::read_to_string(path).expect("docs/FUZZ.md exists")
-}
-
-fn metrics_doc() -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/METRICS.md");
-    std::fs::read_to_string(path).expect("docs/METRICS.md exists")
-}
-
-fn collect_keys(v: &Json, keys: &mut BTreeSet<String>) {
-    match v {
-        Json::Obj(fields) => {
-            for (k, child) in fields {
-                keys.insert(k.clone());
-                collect_keys(child, keys);
-            }
-        }
-        Json::Arr(items) => {
-            for item in items {
-                collect_keys(item, keys);
-            }
-        }
-        _ => {}
-    }
-}
-
+/// Every key `emitted` carries must be documented in docs/METRICS.md
+/// or docs/FUZZ.md.
 fn assert_documented(emitted: &Json, context: &str) {
-    let (fuzz, metrics) = (fuzz_doc(), metrics_doc());
-    let mut keys = BTreeSet::new();
-    collect_keys(emitted, &mut keys);
-    assert!(keys.len() > 10, "{context}: implausibly few keys emitted");
-    let undocumented: Vec<&String> = keys
-        .iter()
-        .filter(|k| {
-            let tagged = format!("`{k}`");
-            !metrics.contains(&tagged) && !fuzz.contains(&tagged)
-        })
-        .collect();
-    assert!(
-        undocumented.is_empty(),
-        "{context}: keys emitted but not in docs/METRICS.md (or docs/FUZZ.md): \
-         {undocumented:?} — document them (and bump schema_version on renames)"
-    );
+    let keys = support::assert_documented(emitted, &["METRICS.md", "FUZZ.md"], &[], context);
+    assert!(keys > 10, "{context}: implausibly few keys emitted");
 }
 
 fn quick_opts(inject: Inject) -> MatrixOptions {
@@ -126,7 +88,7 @@ fn every_case_file_field_is_documented() {
 
 #[test]
 fn documented_profiles_knobs_and_modes_exist() {
-    let doc = fuzz_doc();
+    let doc = support::doc("FUZZ.md");
 
     // Every real profile is documented, and FUZZ.md names no others.
     for profile in FuzzProfile::ALL {
@@ -172,7 +134,7 @@ fn documented_profiles_knobs_and_modes_exist() {
 
 #[test]
 fn documented_invariants_and_configs_match_the_harness() {
-    let doc = fuzz_doc();
+    let doc = support::doc("FUZZ.md");
     // Every check the harness performs is documented by name...
     for name in CHECK_NAMES {
         assert!(
@@ -201,7 +163,7 @@ fn documented_invariants_and_configs_match_the_harness() {
 fn documented_corpus_regeneration_command_matches_reality() {
     // The doc pins the regeneration command; its seed/count must match
     // what the committed corpus actually contains.
-    let doc = fuzz_doc();
+    let doc = support::doc("FUZZ.md");
     assert!(
         doc.contains("fdip-fuzz corpus --seed 1 --count 24 --out tests/corpus"),
         "docs/FUZZ.md regeneration command drifted"

@@ -6,51 +6,19 @@
 //! serialization, or the trace exporter without documenting it fails
 //! this test.
 
-use fdip_harness::bench::quick_bench;
-use fdip_harness::{experiments_json, BenchBaseline, Report, Runner, Table};
+mod support;
+
+use fdip_harness::{experiments_json, Report, Runner, Table};
 use fdip_sim::CoreConfig;
 use fdip_telemetry::{Json, RunManifest, ToJson, SCHEMA_VERSION};
 use std::collections::BTreeSet;
 
-/// Collects every object key in `v`, except below `metrics` (experiment
-/// metric names are experiment-specific and documented as such).
-fn collect_keys(v: &Json, keys: &mut BTreeSet<String>) {
-    match v {
-        Json::Obj(fields) => {
-            for (k, child) in fields {
-                keys.insert(k.clone());
-                if k != "metrics" {
-                    collect_keys(child, keys);
-                }
-            }
-        }
-        Json::Arr(items) => {
-            for item in items {
-                collect_keys(item, keys);
-            }
-        }
-        _ => {}
-    }
-}
-
-fn doc() -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/METRICS.md");
-    std::fs::read_to_string(path).expect("docs/METRICS.md exists")
-}
-
-fn assert_all_documented(emitted: &Json, doc: &str, context: &str) {
-    let mut keys = BTreeSet::new();
-    collect_keys(emitted, &mut keys);
-    assert!(keys.len() > 10, "{context}: implausibly few keys emitted");
-    let undocumented: Vec<&String> = keys
-        .iter()
-        .filter(|k| !doc.contains(&format!("`{k}`")))
-        .collect();
-    assert!(
-        undocumented.is_empty(),
-        "{context}: fields emitted but not documented in docs/METRICS.md: \
-         {undocumented:?} — document them (and bump schema_version on renames)"
-    );
+/// Every key `emitted` carries must be documented in docs/METRICS.md,
+/// except below `metrics` (experiment metric names are
+/// experiment-specific and documented as such).
+fn assert_all_documented(emitted: &Json, context: &str) {
+    let keys = support::assert_documented(emitted, &["METRICS.md"], &["metrics"], context);
+    assert!(keys > 10, "{context}: implausibly few keys emitted");
 }
 
 #[test]
@@ -64,7 +32,7 @@ fn every_results_json_field_is_documented() {
         emitted.get("schema_version").and_then(Json::as_u64),
         Some(SCHEMA_VERSION)
     );
-    assert_all_documented(&emitted, &doc(), "results.json");
+    assert_all_documented(&emitted, "results.json");
 }
 
 #[test]
@@ -78,39 +46,7 @@ fn every_experiments_json_field_is_documented() {
     report.tables.push(table);
     let manifest = RunManifest::new("fdip-experiments", "quick", 500, 3_000, 3);
     let doc_json = experiments_json(&manifest, &[report]);
-    assert_all_documented(&doc_json, &doc(), "experiments json");
-}
-
-#[test]
-fn every_bench_json_field_is_documented() {
-    // A real (tiny) bench run through the same path `fdip-bench --json`
-    // uses, with a baseline attached so the optional block is emitted too.
-    let mut bench = quick_bench(1_000, 1);
-    bench.baseline = Some(BenchBaseline {
-        instrs_per_sec: 1.0,
-        cycles_per_sec: 1.0,
-        git_revision: "test".to_string(),
-    });
-    let emitted = bench.to_json();
-    assert_eq!(
-        emitted.get("schema_version").and_then(Json::as_u64),
-        Some(SCHEMA_VERSION)
-    );
-    assert_all_documented(&emitted, &doc(), "BENCH_core.json");
-    // The bench block itself must carry the documented headline numbers.
-    let b = emitted.get("bench").expect("bench block");
-    for name in ["iters", "workloads", "aggregate", "speedup_vs_baseline"] {
-        assert!(b.get(name).is_some(), "bench field {name} missing");
-    }
-    let agg = b.get("aggregate").unwrap();
-    for name in [
-        "instrs_per_sec",
-        "cycles_per_sec",
-        "setup_seconds",
-        "run_seconds",
-    ] {
-        assert!(agg.get(name).is_some(), "aggregate field {name} missing");
-    }
+    assert_all_documented(&doc_json, "experiments json");
 }
 
 #[test]
@@ -132,7 +68,7 @@ fn every_serve_manifest_field_is_documented() {
         emitted.get("schema_version").and_then(Json::as_u64),
         Some(SCHEMA_VERSION)
     );
-    assert_all_documented(&emitted, &doc(), "serve manifest");
+    assert_all_documented(&emitted, "serve manifest");
     // Reverse direction: the documented counter groups must be emitted.
     let serve = emitted.get("serve").expect("serve block");
     for name in [
@@ -229,7 +165,7 @@ fn documented_trace_fields_exist_in_exported_trace() {
     let (_, _, tracer) =
         fdip_sim::run_workload_traced(&CoreConfig::fdp(), &program, 500, 3_000, 10_000);
     let trace = tracer.to_chrome_trace(&fdip_sim::STALL_REASON_NAMES);
-    assert_all_documented(&trace, &doc(), "trace file");
+    assert_all_documented(&trace, "trace file");
     for name in ["traceEvents", "displayTimeUnit", "metadata"] {
         assert!(trace.get(name).is_some(), "trace field {name} missing");
     }

@@ -12,6 +12,8 @@
 //! The catalog rows are parsed straight out of the markdown tables, so
 //! renaming a metric without updating the doc (or vice versa) fails here.
 
+mod support;
+
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -21,27 +23,16 @@ use fdip_obs::expo;
 use fdip_serve::{Server, ServerConfig};
 use fdip_sim::CoreConfig;
 
-fn doc() -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/OBSERVABILITY.md");
-    std::fs::read_to_string(path).expect("docs/OBSERVABILITY.md exists")
-}
-
 /// A catalog row: family name → (type cell, labels cell).
-fn documented_families(doc: &str) -> BTreeMap<String, (String, String)> {
+fn documented_families() -> BTreeMap<String, (String, String)> {
     let mut out = BTreeMap::new();
-    for line in doc.lines() {
-        let cols: Vec<&str> = line.split('|').map(str::trim).collect();
-        // `| `name` | kind | labels | meaning |` splits into
-        // ["", "`name`", kind, labels, meaning, ""].
-        if cols.len() < 5 {
-            continue;
-        }
-        let Some(name) = cols[1].strip_prefix('`').and_then(|s| s.strip_suffix('`')) else {
-            continue;
-        };
-        if name.starts_with("fdip_") {
-            let prior = out.insert(name.to_string(), (cols[2].to_string(), cols[3].to_string()));
-            assert!(prior.is_none(), "{name} is catalogued twice");
+    for (names, cells) in support::table_rows(&support::doc("OBSERVABILITY.md")) {
+        // `| `name` | kind | labels | meaning |`
+        if let ([name], [kind, labels, ..]) = (&names[..], &cells[..]) {
+            if name.starts_with("fdip_") {
+                let prior = out.insert(name.clone(), (kind.to_string(), labels.to_string()));
+                assert!(prior.is_none(), "{name} is catalogued twice");
+            }
         }
     }
     assert!(
@@ -107,7 +98,7 @@ fn assert_catalog_matches(
 
 #[test]
 fn the_daemon_catalog_matches_a_live_scrape_bidirectionally() {
-    let catalog = documented_families(&doc());
+    let catalog = documented_families();
     let dir = state_dir("daemon");
     let mut config = ServerConfig::new(dir.clone());
     config.jobs = Some(2);
@@ -132,7 +123,7 @@ fn the_daemon_catalog_matches_a_live_scrape_bidirectionally() {
 
 #[test]
 fn the_client_catalog_matches_the_global_registry_bidirectionally() {
-    let catalog = documented_families(&doc());
+    let catalog = documented_families();
 
     // Exercise both client paths: a served grid (outcome `ok`, cells
     // received) and a fallback to local execution after a daemon error.

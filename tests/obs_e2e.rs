@@ -7,7 +7,8 @@
 //!   the cache-hit counter by exactly its cell count;
 //! * `/v1/logs` serves the grid-lifecycle records with a working
 //!   `next_since` cursor, and the ring stays bounded;
-//! * `--trace-dir` produces a parseable Chrome trace per grid;
+//! * `--trace-dir` produces a parseable Chrome trace per grid, under
+//!   pid 0 and in `ts` order;
 //! * and above all: stripped grid results are **byte-identical** with
 //!   observability fully enabled (debug logging + tracing) and fully
 //!   disabled.
@@ -103,6 +104,12 @@ fn scrape_validates_counters_are_monotonic_and_cache_hits_move_on_replay() {
         .and_then(|s| s.get("total_cells"))
         .and_then(Json::as_u64)
         .expect("total_cells");
+    // The cold grid's span file, before the replay below overwrites it
+    // (same grid id). Its cell slices are recorded before the `simulate`
+    // slice that encloses them, so recording order is not `ts` order.
+    let grid_id = first.get("grid_id").and_then(Json::as_str).unwrap();
+    let cold_trace = std::fs::read_to_string(trace_dir.join(format!("grid-{grid_id}.json")))
+        .expect("trace file");
 
     let after_first = scrape(&addr);
     assert_eq!(
@@ -193,11 +200,8 @@ fn scrape_validates_counters_are_monotonic_and_cache_hits_move_on_replay() {
         http_json_request(&addr, "GET", &format!("{LOGS_PATH}?level=loud"), None).unwrap();
     assert_eq!(status, 400);
 
-    // Each grid wrote (and overwrote — same grid id) a Chrome trace.
-    let grid_id = first.get("grid_id").and_then(Json::as_str).unwrap();
-    let trace_path = trace_dir.join(format!("grid-{grid_id}.json"));
-    let trace = Json::parse(&std::fs::read_to_string(&trace_path).expect("trace file"))
-        .expect("trace parses");
+    // The cold grid wrote a Chrome trace (read above).
+    let trace = Json::parse(&cold_trace).expect("trace parses");
     let events = trace
         .get("traceEvents")
         .and_then(Json::as_arr)
@@ -211,6 +215,15 @@ fn scrape_validates_counters_are_monotonic_and_cache_hits_move_on_replay() {
             names.contains(&expected),
             "trace lacks {expected}: {names:?}"
         );
+    }
+    // Document 4: every event under pid 0, timed events in `ts` order.
+    let mut last_ts = 0;
+    for e in events {
+        assert_eq!(e.get("pid").and_then(Json::as_u64), Some(0), "{e:?}");
+        if let Some(ts) = e.get("ts").and_then(Json::as_u64) {
+            assert!(ts >= last_ts, "ts went backwards: {ts} < {last_ts}");
+            last_ts = ts;
+        }
     }
 
     server.stop();

@@ -14,6 +14,8 @@
 //!   re-implemented here from the doc's text and compared against the
 //!   production codec.
 
+mod support;
+
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
@@ -27,70 +29,22 @@ use fdip_serve::{Server, ServerConfig};
 use fdip_sim::{CoreConfig, DirectionConfig};
 use fdip_telemetry::Json;
 
-fn serve_doc() -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/SERVE.md");
-    std::fs::read_to_string(path).expect("docs/SERVE.md exists")
-}
-
-fn metrics_doc() -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/METRICS.md");
-    std::fs::read_to_string(path).expect("docs/METRICS.md exists")
-}
-
-fn collect_keys(v: &Json, keys: &mut BTreeSet<String>) {
-    match v {
-        Json::Obj(fields) => {
-            for (k, child) in fields {
-                keys.insert(k.clone());
-                collect_keys(child, keys);
-            }
-        }
-        Json::Arr(items) => {
-            for item in items {
-                collect_keys(item, keys);
-            }
-        }
-        _ => {}
-    }
-}
-
+/// Every key `emitted` carries must be documented in docs/SERVE.md or
+/// docs/METRICS.md.
 fn assert_documented(emitted: &Json, context: &str) {
-    let (serve, metrics) = (serve_doc(), metrics_doc());
-    let mut keys = BTreeSet::new();
-    collect_keys(emitted, &mut keys);
-    let undocumented: Vec<&String> = keys
-        .iter()
-        .filter(|k| {
-            let tagged = format!("`{k}`");
-            !serve.contains(&tagged) && !metrics.contains(&tagged)
-        })
-        .collect();
-    assert!(
-        undocumented.is_empty(),
-        "{context}: keys on the wire but not in docs/SERVE.md (or docs/METRICS.md): \
-         {undocumented:?} — document them (and bump schema_version on renames)"
-    );
+    support::assert_documented(emitted, &["SERVE.md", "METRICS.md"], &[], context);
 }
 
 /// The fields named in the first column of the tables in
 /// docs/SERVE.md §"Cache entries".
 fn documented_entry_fields() -> BTreeSet<String> {
-    let doc = serve_doc();
+    let doc = support::doc("SERVE.md");
     let start = doc.find("### Cache entries").expect("§Cache entries");
     let section = &doc[start..];
     let end = section[1..].find("\n#").map_or(section.len(), |i| i + 1);
-    section[..end]
-        .lines()
-        .filter(|row| row.starts_with("| `"))
-        .flat_map(|row| {
-            let first = row.split('|').nth(1).unwrap_or_default();
-            first
-                .split('`')
-                .skip(1)
-                .step_by(2)
-                .map(str::to_string)
-                .collect::<Vec<_>>()
-        })
+    support::table_rows(&section[..end])
+        .into_iter()
+        .flat_map(|(names, _)| names)
         .collect()
 }
 
@@ -327,7 +281,7 @@ fn documented_hash_algorithm_matches_the_codec() {
 fn documented_paths_and_codes_appear_in_the_doc() {
     // The reverse textual direction: the doc must name every endpoint
     // constant and every error code the daemon can actually produce.
-    let doc = serve_doc();
+    let doc = support::doc("SERVE.md");
     for path in [
         GRID_PATH,
         HEALTHZ_PATH,
