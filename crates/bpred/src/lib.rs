@@ -26,7 +26,6 @@
 //! testable.
 
 mod btb;
-mod btb2l;
 mod direction;
 mod fold;
 mod history;
@@ -37,7 +36,6 @@ mod ras;
 mod tage;
 
 pub use btb::{Btb, BtbConfig, BtbEntry, BtbStats};
-pub use btb2l::{BtbLevel, TwoLevelBtb, TwoLevelBtbConfig, TwoLevelStats};
 pub use direction::{Bimodal, DirectionPredictor, Gshare, GshareConfig};
 pub use fold::{FoldPlan, FoldSpec, FoldedHistories, MAX_FOLDS};
 pub use history::{GlobalHistory, HISTORY_BITS};

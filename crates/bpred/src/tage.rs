@@ -127,7 +127,6 @@ pub struct Tage {
     config: TageConfig,
     bimodal: Vec<u8>,
     tables: Vec<Vec<TageEntry>>,
-    hist_lens: Vec<u32>,
     /// First fold slot; component `i` uses slots `base + 3i .. base + 3i + 3`.
     fold_base: usize,
     use_alt_on_na: i8,
@@ -138,11 +137,8 @@ pub struct Tage {
 impl Tage {
     /// Builds the predictor and registers its folds on `plan`.
     pub fn new(config: TageConfig, plan: &mut FoldPlan) -> Self {
-        let hist_lens: Vec<u32> = (0..config.num_tables)
-            .map(|i| config.history_length(i))
-            .collect();
         let fold_base = plan.len();
-        for &len in &hist_lens {
+        for len in (0..config.num_tables).map(|i| config.history_length(i)) {
             plan.register(len, config.entries_log2);
             plan.register(len, config.tag_bits);
             plan.register(len, config.tag_bits - 1);
@@ -151,7 +147,6 @@ impl Tage {
             config,
             bimodal: vec![2; 1 << config.bimodal_log2], // weakly taken
             tables: vec![vec![TageEntry::default(); 1 << config.entries_log2]; config.num_tables],
-            hist_lens,
             fold_base,
             use_alt_on_na: 0,
             lfsr: 0xace1_ace1_ace1_ace1,
@@ -332,11 +327,6 @@ impl Tage {
                 }
             }
         }
-    }
-
-    /// Geometric history lengths of the tagged components.
-    pub fn history_lengths(&self) -> &[u32] {
-        &self.hist_lens
     }
 }
 

@@ -5,8 +5,8 @@
     reason = "Instant times jobs for pool telemetry (busy_fraction, jobs_per_sec), \
               which is stripped before every determinism diff"
 )]
-//! `fdip-exec` — the bounded work-stealing job pool behind every
-//! simulation sweep.
+//! `fdip-exec` — the bounded FIFO job pool behind every simulation
+//! sweep.
 //!
 //! The paper's evaluation is a large sweep: every figure re-runs the
 //! workload suite under many `CoreConfig` variants. Those runs are
@@ -14,13 +14,12 @@
 //! more OS threads than requested) and **deterministic** (results land in
 //! submission order, never completion order).
 //!
-//! The pool is dependency-free: a global injector deque feeds fixed
-//! per-worker queues, and idle workers steal from their siblings. Jobs
-//! are submitted in batches via [`Pool::run_batch`], which blocks until
-//! every job of the batch has finished and returns the results in indexed
-//! slots. A panicking job fails the submitting `run_batch` call (the
-//! panic is re-raised there) instead of killing a worker or hanging the
-//! pool.
+//! The pool is dependency-free: one FIFO queue behind a mutex and a
+//! condvar feeds a fixed set of workers. Jobs are submitted in batches
+//! via [`Pool::run_batch`], which blocks until every job of the batch has
+//! finished and returns the results in indexed slots. A panicking job
+//! fails the submitting `run_batch` call (the panic is re-raised there)
+//! instead of killing a worker or hanging the pool.
 //!
 //! Sizing comes from the `FDIP_JOBS` environment variable (or the
 //! `--jobs` flag of the harness binaries, via [`set_global_jobs`]),
@@ -49,8 +48,9 @@ use std::time::Instant;
 
 use fdip_telemetry::{Histogram, Json, ToJson};
 
-/// A type-erased unit of work.
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A type-erased unit of work, run by worker `id` of the pool whose
+/// [`Shared`] state it is handed.
+type Job = Box<dyn FnOnce(&Shared, usize) + Send + 'static>;
 
 /// Locks a mutex, recovering from poisoning (jobs are panic-isolated, so
 /// a poisoned lock only means a peer thread died mid-assert in a test).
@@ -58,15 +58,13 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Injector state behind the coordination mutex.
+/// Queue state behind the coordination mutex.
 struct State {
-    /// Global FIFO of jobs not yet claimed by any worker.
-    injector: VecDeque<Job>,
-    /// Jobs pushed but not yet taken, across injector *and* stripes.
-    pending: usize,
-    /// Set once by `Drop`; workers exit after draining their queues.
+    /// FIFO of jobs not yet claimed by any worker.
+    queue: VecDeque<Job>,
+    /// Set once by `Drop`; workers exit after draining the queue.
     shutdown: bool,
-    /// Injector depth observed at each job submission.
+    /// Queue depth observed at each job submission.
     queue_depth: Histogram,
 }
 
@@ -77,90 +75,62 @@ struct Counters {
     busy_ns: AtomicU64,
     busy_now: AtomicUsize,
     peak_busy: AtomicUsize,
-    /// Jobs taken from a sibling's stripe rather than our own or the
-    /// injector — the load-balancing pressure gauge.
-    steals: AtomicU64,
 }
 
 /// Everything workers and submitters share.
 struct Shared {
     state: Mutex<State>,
     work_cv: Condvar,
-    /// Per-worker steal targets. A worker pops its own stripe LIFO (fresh
-    /// sub-jobs stay cache-hot) and steals FIFO from siblings.
-    stripes: Vec<Mutex<VecDeque<Job>>>,
     counters: Counters,
-    /// Jobs executed by each worker (indexed like `stripes`); sums to
+    /// Jobs executed by each worker (indexed by worker id); sums to
     /// `counters.jobs_completed` when the pool is quiescent.
     worker_jobs: Vec<AtomicU64>,
 }
 
 impl Shared {
-    /// Non-blocking take: own stripe, then injector, then steal.
-    fn try_take(&self, id: usize) -> Option<Job> {
-        if let Some(job) = lock(&self.stripes[id]).pop_back() {
-            lock(&self.state).pending -= 1;
-            return Some(job);
-        }
-        {
-            let mut st = lock(&self.state);
-            if let Some(job) = st.injector.pop_front() {
-                st.pending -= 1;
-                return Some(job);
-            }
-        }
-        let n = self.stripes.len();
-        for k in 1..n {
-            let victim = (id + k) % n;
-            if let Some(job) = lock(&self.stripes[victim]).pop_front() {
-                lock(&self.state).pending -= 1;
-                // Advisory tally like busy_now (Relaxed is sound, see `execute`).
-                self.counters.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(job);
-            }
-        }
-        None
-    }
-
     /// Blocking take; `None` means the pool is shutting down and drained.
-    fn take(&self, id: usize) -> Option<Job> {
-        loop {
-            if let Some(job) = self.try_take(id) {
-                return Some(job);
-            }
-            let st = self
-                .work_cv
-                .wait_while(lock(&self.state), |st| st.pending == 0 && !st.shutdown)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if st.pending == 0 {
-                return None; // shut down and drained
-            }
-            // Otherwise rescan the queues.
-        }
+    fn take(&self) -> Option<Job> {
+        self.work_cv
+            .wait_while(lock(&self.state), |st| st.queue.is_empty() && !st.shutdown)
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .queue
+            .pop_front()
     }
 
-    /// Runs one job, tracking how many workers are busy. Per-job time
-    /// and completion counters are recorded by the batch wrapper itself
-    /// (before it signals batch completion, so a submitter that returns
-    /// from `run_batch` always observes its jobs in the stats).
+    /// Runs one queued job on worker `id`, tracking how many workers are
+    /// busy.
     fn execute(&self, id: usize, job: Job) {
-        // busy_now/peak_busy/worker_jobs are advisory occupancy gauges:
-        // no reader derives a happens-before edge from them, so Relaxed
-        // is sound. worker_jobs counts before the job runs, so the batch
-        // wrapper's Release increment of jobs_completed orders it for any
-        // Acquire reader.
-        self.worker_jobs[id].fetch_add(1, Ordering::Relaxed);
+        // busy_now/peak_busy are advisory occupancy gauges: no reader
+        // derives a happens-before edge from them, so Relaxed is sound.
         let busy = self.counters.busy_now.fetch_add(1, Ordering::Relaxed) + 1;
         self.counters.peak_busy.fetch_max(busy, Ordering::Relaxed);
-        job();
+        job(self, id);
         self.counters.busy_now.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Runs `f` on worker `id` with its panic caught, and records the
+    /// job's time and completion before the caller publishes the result,
+    /// so a submitter that returns from `run_batch` always observes its
+    /// jobs in the stats.
+    fn run_job<T>(&self, id: usize, f: impl FnOnce() -> T) -> std::thread::Result<T> {
+        // Advisory like busy_now; counted before the Release increment
+        // of jobs_completed, which orders it for any Acquire reader.
+        self.worker_jobs[id].fetch_add(1, Ordering::Relaxed);
+        let t0 = Instant::now();
+        let result = catch_unwind(AssertUnwindSafe(f));
+        // Release pairs with the Acquire loads in `stats()`.
+        self.counters
+            .busy_ns
+            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Release);
+        self.counters.jobs_completed.fetch_add(1, Ordering::Release);
+        result
     }
 }
 
 thread_local! {
     /// `(Arc::as_ptr of the pool's Shared, worker index)` when the
-    /// current thread is a pool worker — lets a nested `run_batch` help
-    /// execute jobs instead of deadlocking the pool.
+    /// current thread is a pool worker — lets a nested `run_batch` run
+    /// its jobs in place instead of deadlocking the pool.
     static WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
 }
 
@@ -198,10 +168,10 @@ impl CancelToken {
     }
 }
 
-/// Per-batch completion state: indexed result slots plus a countdown.
+/// Per-batch completion state: indexed result slots and the number of
+/// jobs not yet finished.
 struct Batch<T> {
-    slots: Mutex<Vec<Option<std::thread::Result<T>>>>,
-    remaining: Mutex<usize>,
+    slots: Mutex<(Vec<Option<std::thread::Result<T>>>, usize)>,
     done_cv: Condvar,
 }
 
@@ -222,13 +192,11 @@ impl Pool {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
-                injector: VecDeque::new(),
-                pending: 0,
+                queue: VecDeque::new(),
                 shutdown: false,
                 queue_depth: Histogram::new(),
             }),
             work_cv: Condvar::new(),
-            stripes: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
             counters: Counters::default(),
             worker_jobs: (0..threads).map(|_| AtomicU64::new(0)).collect(),
         });
@@ -239,7 +207,7 @@ impl Pool {
                     .name(format!("fdip-exec-{id}"))
                     .spawn(move || {
                         WORKER.with(|w| w.set(Some((Arc::as_ptr(&shared) as usize, id))));
-                        while let Some(job) = shared.take(id) {
+                        while let Some(job) = shared.take() {
                             shared.execute(id, job);
                         }
                     })
@@ -255,7 +223,7 @@ impl Pool {
 
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
-        self.workers.len().max(self.shared.stripes.len())
+        self.shared.worker_jobs.len()
     }
 
     /// Runs every job of the batch and returns their results in
@@ -264,9 +232,9 @@ impl Pool {
     /// the scheduler interleaves the work.
     ///
     /// Blocks until the whole batch has finished. May be called from
-    /// inside a pool job: the calling worker then helps execute pending
-    /// jobs while it waits, so nested batches cannot deadlock even on a
-    /// single-worker pool.
+    /// inside a job of the same pool: the calling worker then runs the
+    /// batch's jobs itself, in order, so nested batches cannot deadlock
+    /// even on a single-worker pool.
     ///
     /// # Panics
     ///
@@ -278,63 +246,18 @@ impl Pool {
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
-        let n = jobs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let batch = Arc::new(Batch {
-            slots: Mutex::new((0..n).map(|_| None).collect()),
-            remaining: Mutex::new(n),
-            done_cv: Condvar::new(),
-        });
-        {
-            let mut st = lock(&self.shared.state);
-            for (i, f) in jobs.into_iter().enumerate() {
-                let depth = st.injector.len() as u64;
-                st.queue_depth.record(depth);
-                let batch = Arc::clone(&batch);
-                let shared = Arc::clone(&self.shared);
-                st.injector.push_back(Box::new(move || {
-                    let t0 = Instant::now();
-                    let result = catch_unwind(AssertUnwindSafe(f));
-                    // Release pairs with the Acquire loads in `stats()`:
-                    // a submitter that saw its batch complete (via the
-                    // slots/remaining mutexes) then calls `stats()` must
-                    // observe these increments.
-                    shared
-                        .counters
-                        .busy_ns
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Release);
-                    shared
-                        .counters
-                        .jobs_completed
-                        .fetch_add(1, Ordering::Release);
-                    lock(&batch.slots)[i] = Some(result);
-                    let mut rem = lock(&batch.remaining);
-                    *rem -= 1;
-                    if *rem == 0 {
-                        batch.done_cv.notify_all();
-                    }
-                }));
-                st.pending += 1;
-            }
-            self.shared.work_cv.notify_all();
-        }
-        self.wait_for(&batch);
-
-        let slots = std::mem::take(&mut *lock(&batch.slots));
-        let mut out = Vec::with_capacity(n);
-        let mut panic_payload = None;
-        for slot in slots {
-            match slot.expect("batch slot filled") {
-                Ok(v) => out.push(v),
-                Err(p) => panic_payload = panic_payload.or(Some(p)),
-            }
-        }
-        if let Some(p) = panic_payload {
-            resume_unwind(p);
-        }
-        out
+        let results = match WORKER.with(Cell::get) {
+            Some((pool, id)) if pool == Arc::as_ptr(&self.shared) as usize => jobs
+                .into_iter()
+                .map(|f| self.shared.run_job(id, f))
+                .collect(),
+            _ => self.queue_and_wait(jobs),
+        };
+        // Every job has run; re-raise the first panic, if any.
+        results
+            .into_iter()
+            .collect::<std::thread::Result<Vec<T>>>()
+            .unwrap_or_else(|p| resume_unwind(p))
     }
 
     /// Like [`Pool::run_batch`], but every job is guarded by `token`:
@@ -357,64 +280,58 @@ impl Pool {
         self.run_batch(guarded)
     }
 
-    /// Blocks until `batch` completes; a worker thread helps execute
-    /// pending jobs (its own batch's or anyone else's) instead of idling.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the helping worker's 1 ms wait_timeout is a poll for new work, \
-                  not a predicate wait; the loop re-checks `remaining` after it"
-    )]
-    fn wait_for<T>(&self, batch: &Batch<T>) {
-        let me = WORKER.with(Cell::get);
-        let helping = matches!(me, Some((pool, _)) if pool == Arc::as_ptr(&self.shared) as usize);
-        loop {
-            if helping {
-                if *lock(&batch.remaining) == 0 {
-                    return;
-                }
-                let id = me.expect("helping implies worker").1;
-                if let Some(job) = self.shared.try_take(id) {
-                    self.shared.execute(id, job);
-                    continue;
-                }
-            }
-            let mut rem = lock(&batch.remaining);
-            if *rem == 0 {
-                return;
-            }
-            if helping {
-                // Re-check for work soon: our batch may be queued behind
-                // jobs only this worker can reach.
-                let (guard, _) = batch
-                    .done_cv
-                    .wait_timeout(rem, std::time::Duration::from_millis(1))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                rem = guard;
-                if *rem == 0 {
-                    return;
-                }
-            } else {
-                let _done = batch
-                    .done_cv
-                    .wait_while(rem, |rem| *rem > 0)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                return;
+    /// Queues the batch behind every job already submitted and blocks
+    /// until the workers have run all of it.
+    fn queue_and_wait<T, F>(&self, jobs: Vec<F>) -> Vec<std::thread::Result<T>>
+    where
+        F: FnOnce() -> T + Send + 'static,
+        T: Send + 'static,
+    {
+        let n = jobs.len();
+        let batch = Arc::new(Batch {
+            slots: Mutex::new(((0..n).map(|_| None).collect(), n)),
+            done_cv: Condvar::new(),
+        });
+        {
+            let mut st = lock(&self.shared.state);
+            for (i, f) in jobs.into_iter().enumerate() {
+                let depth = st.queue.len() as u64;
+                st.queue_depth.record(depth);
+                let batch = Arc::clone(&batch);
+                st.queue.push_back(Box::new(move |shared: &Shared, id| {
+                    let result = shared.run_job(id, f);
+                    let mut slots = lock(&batch.slots);
+                    slots.0[i] = Some(result);
+                    slots.1 -= 1;
+                    if slots.1 == 0 {
+                        batch.done_cv.notify_all();
+                    }
+                }));
             }
         }
+        self.shared.work_cv.notify_all();
+        let mut slots = batch
+            .done_cv
+            .wait_while(lock(&batch.slots), |slots| slots.1 > 0)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        std::mem::take(&mut slots.0)
+            .into_iter()
+            .map(|slot| slot.expect("batch slot filled"))
+            .collect()
     }
 
     /// A snapshot of the pool's lifetime telemetry.
     pub fn stats(&self) -> PoolStats {
         let elapsed = self.created.elapsed().as_secs_f64().max(1e-9);
-        // Acquire pairs with the Release increments in the batch wrapper.
+        // Acquire pairs with the Release increments in `run_job`.
         let jobs = self.shared.counters.jobs_completed.load(Ordering::Acquire);
         let busy_s = self.shared.counters.busy_ns.load(Ordering::Acquire) as f64 / 1e9;
         PoolStats {
             workers: self.threads(),
             jobs_completed: jobs,
-            // Advisory gauges; see `execute`/`try_take`.
+            // Advisory gauges; see `execute` and `run_job`.
             peak_busy: self.shared.counters.peak_busy.load(Ordering::Relaxed),
-            steals: self.shared.counters.steals.load(Ordering::Relaxed),
+            steals: 0,
             worker_jobs: self
                 .shared
                 .worker_jobs
@@ -457,8 +374,9 @@ pub struct PoolStats {
     pub jobs_completed: u64,
     /// Maximum number of workers simultaneously executing jobs.
     pub peak_busy: usize,
-    /// Jobs taken from a sibling worker's stripe (scheduling-dependent,
-    /// stripped alongside the wall-time fields).
+    /// Always 0: every worker takes jobs from the one shared queue, so
+    /// none is ever taken from another worker. Kept because
+    /// `manifest.pool.steals` is part of results schema v1.
     pub steals: u64,
     /// Jobs executed by each worker, indexed by worker id; sums to
     /// `jobs_completed` when the pool is quiescent
@@ -468,7 +386,7 @@ pub struct PoolStats {
     pub busy_fraction: f64,
     /// Jobs finished per wall-clock second of pool lifetime.
     pub jobs_per_sec: f64,
-    /// Injector depth observed at each job submission.
+    /// Queue depth observed at each job submission.
     pub queue_depth: Histogram,
 }
 

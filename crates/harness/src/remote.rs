@@ -219,20 +219,7 @@ fn policy_from_label(label: &str) -> Option<HistoryPolicy> {
 }
 
 fn prefetcher_from_label(label: &str) -> Option<PrefetcherKind> {
-    [
-        PrefetcherKind::None,
-        PrefetcherKind::NextLine,
-        PrefetcherKind::FnlMma,
-        PrefetcherKind::Djolt,
-        PrefetcherKind::Eip128,
-        PrefetcherKind::Eip27,
-        PrefetcherKind::SnfourlDis,
-        PrefetcherKind::SnfourlDisBtb,
-        PrefetcherKind::Rdip,
-        PrefetcherKind::Perfect,
-    ]
-    .into_iter()
-    .find(|k| k.label() == label)
+    PrefetcherKind::ALL.into_iter().find(|k| k.label() == label)
 }
 
 /// Parses the canonical wire form back into a [`CoreConfig`].
@@ -589,18 +576,7 @@ mod tests {
 
     #[test]
     fn every_prefetcher_and_policy_label_round_trips() {
-        for kind in [
-            PrefetcherKind::None,
-            PrefetcherKind::NextLine,
-            PrefetcherKind::FnlMma,
-            PrefetcherKind::Djolt,
-            PrefetcherKind::Eip128,
-            PrefetcherKind::Eip27,
-            PrefetcherKind::SnfourlDis,
-            PrefetcherKind::SnfourlDisBtb,
-            PrefetcherKind::Rdip,
-            PrefetcherKind::Perfect,
-        ] {
+        for kind in PrefetcherKind::ALL {
             assert_eq!(prefetcher_from_label(kind.label()), Some(kind));
         }
         for policy in HistoryPolicy::ALL {

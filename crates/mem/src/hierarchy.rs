@@ -127,11 +127,6 @@ impl Hierarchy {
         self.l2.stats()
     }
 
-    /// LLC counters.
-    pub fn llc_stats(&self) -> CacheStats {
-        self.llc.stats()
-    }
-
     /// Below-L1 traffic counters.
     pub fn traffic(&self) -> TrafficStats {
         self.traffic

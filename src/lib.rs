@@ -15,7 +15,7 @@
 //!   EIP, SN4L+Dis, perfect).
 //! * [`fdip_sim`] — the decoupled-frontend cycle-level simulator with FDP,
 //!   taken-only target history, and post-fetch correction.
-//! * [`fdip_exec`] — the bounded work-stealing job pool every sweep runs on.
+//! * [`fdip_exec`] — the bounded FIFO job pool every sweep runs on.
 //! * [`fdip_harness`] — the per-table/per-figure experiment harness.
 
 pub use fdip_bpred as bpred;

@@ -1,12 +1,10 @@
 //! Integration tests for the extension features beyond the paper's
-//! baseline design: the loop predictor (§II-A), the two-level BTB
-//! (§II-A), and the RDIP prefetcher (§VII-A).
+//! baseline design: the loop predictor (§II-A) and the RDIP prefetcher
+//! (§VII-A).
 
-use fdip_bpred::{BtbLevel, TwoLevelBtb, TwoLevelBtbConfig};
 use fdip_prefetch::PrefetcherKind;
 use fdip_program::{ProgramBuilder, ProgramParams};
 use fdip_sim::{run_workload, CoreConfig};
-use fdip_types::{Addr, BranchKind};
 
 fn loopy_program() -> fdip_program::Program {
     ProgramBuilder::new(ProgramParams {
@@ -76,32 +74,6 @@ fn loop_predictor_is_neutral_on_loop_poor_code() {
         delta < 0.02,
         "loop predictor should be near-neutral: {delta:.4}"
     );
-}
-
-#[test]
-fn two_level_btb_serves_hot_branches_fast_and_cold_from_l2() {
-    let mut btb = TwoLevelBtb::new(TwoLevelBtbConfig::default());
-    // Install a working set larger than the L1 level.
-    for i in 0..3000u64 {
-        btb.insert(
-            Addr::new(0x10_0000 + i * 12),
-            BranchKind::CondDirect,
-            Addr::new(0x20_0000),
-        );
-    }
-    // Touch a hot subset repeatedly: after promotion every hit is L1.
-    let hot: Vec<Addr> = (0..64).map(|i| Addr::new(0x10_0000 + i * 12)).collect();
-    for _ in 0..3 {
-        for &pc in &hot {
-            btb.lookup(pc);
-        }
-    }
-    let (_, level, lat) = btb.lookup(hot[0]).expect("hot hit");
-    assert_eq!(level, BtbLevel::L1);
-    assert_eq!(lat, 1);
-    let s = btb.stats();
-    assert!(s.l1_hits > s.l2_hits, "{s:?}");
-    assert!(s.l2_hits > 0, "cold entries must have been promoted: {s:?}");
 }
 
 #[test]

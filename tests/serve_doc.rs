@@ -17,6 +17,8 @@
 mod support;
 
 use std::collections::BTreeSet;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 
 use fdip_bpred::GshareConfig;
@@ -213,6 +215,26 @@ fn documented_error_codes_behave_as_written() {
     let (status, body) = http_json_request(&addr, "POST", GRID_PATH, Some(&request)).unwrap();
     assert_eq!(status, 400);
     assert_eq!(error_code(&body), "unsupported_suite");
+
+    // 400 bad_request on a body nested past the parser's depth cap, sent
+    // as raw bytes: 200,000 `[`, deep enough to overflow the stack of a
+    // parser without the cap. The daemon stays up, and the doc states
+    // the cap.
+    let body = "[".repeat(200_000);
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    write!(
+        stream,
+        "POST {GRID_PATH} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("HTTP/1.1 400 "), "{reply}");
+    assert!(reply.contains("\"bad_request\""), "{reply}");
+    let (status, _) = http_json_request(&addr, "GET", HEALTHZ_PATH, None).unwrap();
+    assert_eq!(status, 200);
+    assert!(support::doc("SERVE.md").contains(&format!("deeper than {} levels", Json::MAX_DEPTH)));
 
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
