@@ -6,9 +6,14 @@
 //! latency, ~18KB TAGE with 260-bit taken-only target history, ITTAGE,
 //! RAS, a 24-entry FTQ (192 instructions), and PFC enabled.
 
-use fdip_bpred::{BtbConfig, GshareConfig, HistoryPolicy, IttageConfig, TageConfig};
-use fdip_mem::HierarchyConfig;
+use fdip_bpred::{
+    BtbConfig, GshareConfig, HistoryPolicy, IttageConfig, TageConfig, HISTORY_BITS, MAX_FOLDS,
+};
+use fdip_mem::{CacheConfig, HierarchyConfig};
 use fdip_prefetch::PrefetcherKind;
+use fdip_telemetry::Json;
+
+use crate::record::{record, Wire};
 
 /// Which conditional direction predictor to build (Fig. 12 sweep).
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -200,6 +205,131 @@ impl CoreConfig {
         self.pred_bw / 8 + 2
     }
 }
+
+// The canonical wire form (`docs/SERVE.md`), one field list per config
+// struct in wire order. The ranges keep out what the constructors,
+// `FoldPlan` and the deadlock guard assert on, and table sizes that
+// would allocate gigabytes.
+const MAX_WIDTH: usize = 256;
+const MAX_QUEUE: usize = 1 << 16;
+const MAX_LATENCY: u64 = 10_000;
+const MAX_ASSOC: usize = 64;
+const MAX_TABLE_LOG2: u32 = 20;
+const MAX_BASE_LOG2: u32 = 24;
+const MAX_HIST: u32 = HISTORY_BITS as u32;
+
+record!(CoreConfig {
+    fetch_width: 1..=MAX_WIDTH,
+    decode_width: 1..=MAX_WIDTH,
+    pred_bw: 1..=MAX_WIDTH,
+    multi_taken,
+    ftq_entries: 1..=MAX_QUEUE,
+    btb,
+    btb_latency: 0..=MAX_LATENCY,
+    perfect_btb,
+    perfect_indirect,
+    direction,
+    ittage,
+    policy,
+    pfc,
+    loop_predictor,
+    prefetcher,
+    prefetch_issue_bw: 1..=MAX_WIDTH,
+    redirect_penalty: 0..=MAX_LATENCY,
+    pfc_redirect_penalty: 0..=MAX_LATENCY,
+    func_warmup,
+    mem,
+    backend,
+});
+record!(BackendConfig {
+    rob_size: 1..=MAX_QUEUE,
+    decode_queue: 1..=MAX_QUEUE,
+    dispatch_width: 1..=MAX_WIDTH,
+    retire_width: 1..=MAX_WIDTH,
+    frontend_depth: 0..=MAX_LATENCY,
+    data_hot_bytes,
+    data_total_bytes,
+    data_hot_pct: 0..=100,
+});
+record!(HierarchyConfig {
+    l1i,
+    l1d,
+    l2,
+    llc,
+    dram_latency: 0..=MAX_LATENCY
+});
+record!(CacheConfig {
+    size_bytes: 1..=64 << 20,
+    assoc: 1..=MAX_ASSOC,
+    line_bytes: 1..=4096,
+    hit_latency: 0..=MAX_LATENCY,
+    mshrs: 0..=MAX_QUEUE,
+} check |c| c.sets().is_power_of_two());
+record!(BtbConfig {
+    entries: 1..=1 << 20,
+    assoc: 1..=MAX_ASSOC,
+} check |b| b.sets().is_power_of_two());
+record!(TageConfig {
+    // Three folds per table, on the plan ITTAGE's eight share.
+    num_tables: 1..=(MAX_FOLDS - 8) / 3,
+    entries_log2: 1..=MAX_TABLE_LOG2,
+    tag_bits: 2..=15,
+    min_hist: 1..=MAX_HIST,
+    max_hist: 1..=MAX_HIST,
+    bimodal_log2: 0..=MAX_BASE_LOG2,
+} check |t| t.min_hist <= t.max_hist);
+record!(GshareConfig {
+    table_log2: 0..=MAX_BASE_LOG2,
+    hist_bits: 0..=64
+});
+record!(IttageConfig {
+    entries_log2: 1..=MAX_TABLE_LOG2,
+    base_log2: 0..=MAX_BASE_LOG2,
+    tag_bits: 1..=15,
+    hist_lens,
+} check |i| i.hist_lens.iter().all(|l| (1..=MAX_HIST).contains(l)));
+
+/// An object tagged by `kind` (`tage`, `gshare` or `perfect`), then the
+/// predictor's own fields.
+impl Wire for DirectionConfig {
+    fn encode(&self) -> Json {
+        let (kind, body) = match self {
+            DirectionConfig::Tage(t) => ("tage", t.encode()),
+            DirectionConfig::Gshare(g) => ("gshare", g.encode()),
+            DirectionConfig::Perfect => ("perfect", Json::obj()),
+        };
+        let mut fields = vec![("kind".to_string(), Json::from(kind))];
+        if let Json::Obj(body) = body {
+            fields.extend(body);
+        }
+        Json::Obj(fields)
+    }
+    fn decode(v: &Json) -> Option<DirectionConfig> {
+        match v.get("kind")?.as_str()? {
+            "tage" => Some(DirectionConfig::Tage(TageConfig::decode(v)?)),
+            "gshare" => Some(DirectionConfig::Gshare(GshareConfig::decode(v)?)),
+            "perfect" => Some(DirectionConfig::Perfect),
+            _ => None,
+        }
+    }
+}
+
+/// Enums written as their display labels.
+macro_rules! wire_label {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn encode(&self) -> Json {
+                Json::from(self.label())
+            }
+            fn decode(v: &Json) -> Option<$t> {
+                let label = v.as_str()?;
+                <$t>::ALL.into_iter().find(|x| x.label() == label)
+            }
+        }
+    )*};
+}
+
+wire_label!(HistoryPolicy, PrefetcherKind);
 
 #[cfg(test)]
 mod tests {

@@ -39,6 +39,7 @@ pub mod meta;
 pub mod oracle;
 pub mod predictors;
 pub mod probe;
+mod record;
 pub mod sim;
 pub mod stats;
 
@@ -52,6 +53,7 @@ pub use ftq::{ftq_overhead_bytes, FillState, Ftq, FtqEntry, SlotBranch};
 pub use hist::HistState;
 pub use meta::StaticMeta;
 pub use probe::ProbeTable;
+pub use record::Wire;
 pub use sim::{
     run_workload, run_workload_detailed, run_workload_job, run_workload_traced, Simulator,
 };

@@ -191,11 +191,6 @@ impl<'p> Simulator<'p> {
         self.perfect_btb_bits.capacity()
     }
 
-    /// Current cycle.
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
     /// Runs until `warmup + measure` instructions have retired and
     /// returns the statistics of the measurement interval only.
     ///
@@ -263,12 +258,6 @@ impl<'p> Simulator<'p> {
     /// Panics if `capacity` is zero.
     pub fn enable_trace(&mut self, capacity: usize) {
         self.trace = Tracer::with_capacity(capacity);
-    }
-
-    /// The event tracer (disabled and empty unless
-    /// [`Simulator::enable_trace`] ran).
-    pub fn tracer(&self) -> &Tracer {
-        &self.trace
     }
 
     /// Takes the tracer out of the simulator, leaving a disabled one.

@@ -6,6 +6,8 @@ use fdip_bpred::BtbStats;
 use fdip_mem::{CacheStats, PrefetchOutcomes, TrafficStats};
 use fdip_telemetry::{Json, ToJson};
 
+use crate::record::{record, Counters, Wire};
+
 /// Display/schema names of the stall buckets, indexed by
 /// [`StallReason::index`]. Also the label table handed to
 /// `fdip_trace::Tracer::to_chrome_trace`.
@@ -78,78 +80,55 @@ impl StallReason {
     }
 }
 
-/// Per-bucket cycle counts; the invariant `sum() == cycles` is asserted
-/// at the end of every `Simulator::run_detailed` and in tests.
+/// Per-bucket cycle counts, indexed by [`StallReason`]; the invariant
+/// `sum() == cycles` is asserted at the end of every
+/// `Simulator::run_detailed` and in tests.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub struct StallCycles {
-    /// Cycles with at least one retirement.
-    pub committing: u64,
-    /// Backend-bound cycles (decode queue full, nothing retired).
-    pub backend: u64,
-    /// Fetch-bandwidth-bound cycles.
-    pub fetch_bw: u64,
-    /// Cycles exposed to an in-flight I-cache fill.
-    pub icache_miss: u64,
-    /// Cycles starved with an empty FTQ.
-    pub ftq_empty: u64,
-    /// Predictor/BTB/fetch-pipeline latency cycles.
-    pub pred_latency: u64,
-    /// Redirect-penalty cycles (execute-time flush).
-    pub redirect: u64,
-    /// PFC-restream-penalty cycles.
-    pub pfc_restream: u64,
-}
+pub struct StallCycles([u64; STALL_REASON_NAMES.len()]);
 
 impl StallCycles {
-    fn slot_mut(&mut self, r: StallReason) -> &mut u64 {
-        match r {
-            StallReason::Committing => &mut self.committing,
-            StallReason::Backend => &mut self.backend,
-            StallReason::FetchBw => &mut self.fetch_bw,
-            StallReason::IcacheMiss => &mut self.icache_miss,
-            StallReason::FtqEmpty => &mut self.ftq_empty,
-            StallReason::PredLatency => &mut self.pred_latency,
-            StallReason::Redirect => &mut self.redirect,
-            StallReason::PfcRestream => &mut self.pfc_restream,
-        }
-    }
-
     /// Charges one cycle to bucket `r`.
     pub fn charge(&mut self, r: StallReason) {
-        *self.slot_mut(r) += 1;
+        self.0[r.index()] += 1;
     }
 
     /// Cycles charged to bucket `r`.
     pub fn get(&self, r: StallReason) -> u64 {
-        match r {
-            StallReason::Committing => self.committing,
-            StallReason::Backend => self.backend,
-            StallReason::FetchBw => self.fetch_bw,
-            StallReason::IcacheMiss => self.icache_miss,
-            StallReason::FtqEmpty => self.ftq_empty,
-            StallReason::PredLatency => self.pred_latency,
-            StallReason::Redirect => self.redirect,
-            StallReason::PfcRestream => self.pfc_restream,
-        }
+        self.0[r.index()]
     }
 
     /// Total cycles across all buckets (must equal `cycles`).
     pub fn sum(&self) -> u64 {
-        StallReason::ALL.iter().map(|&r| self.get(r)).sum()
+        self.0.iter().sum()
     }
 
     /// Field-wise difference (interval arithmetic).
     pub fn sub(&self, b: &StallCycles) -> StallCycles {
-        StallCycles {
-            committing: self.committing - b.committing,
-            backend: self.backend - b.backend,
-            fetch_bw: self.fetch_bw - b.fetch_bw,
-            icache_miss: self.icache_miss - b.icache_miss,
-            ftq_empty: self.ftq_empty - b.ftq_empty,
-            pred_latency: self.pred_latency - b.pred_latency,
-            redirect: self.redirect - b.redirect,
-            pfc_restream: self.pfc_restream - b.pfc_restream,
+        StallCycles(std::array::from_fn(|i| self.0[i] - b.0[i]))
+    }
+}
+
+impl Counters for StallCycles {
+    fn sub(&self, earlier: &StallCycles) -> StallCycles {
+        StallCycles::sub(self, earlier)
+    }
+}
+
+/// An object keyed by [`STALL_REASON_NAMES`].
+impl Wire for StallCycles {
+    fn encode(&self) -> Json {
+        let mut out = Json::obj();
+        for r in StallReason::ALL {
+            out.set(r.name(), self.get(r));
         }
+        out
+    }
+    fn decode(v: &Json) -> Option<StallCycles> {
+        let mut out = StallCycles::default();
+        for r in StallReason::ALL {
+            out.0[r.index()] = v.get(r.name())?.as_u64()?;
+        }
+        Some(out)
     }
 }
 
@@ -219,65 +198,42 @@ pub struct SimStats {
     pub btb: BtbStats,
 }
 
-macro_rules! sub_fields {
-    ($a:expr, $b:expr, { $($f:ident),* $(,)? }) => {
-        SimStats { $($f: $a.$f - $b.$f,)* stall: $a.stall.sub(&$b.stall),
-                   l1i: sub_cache($a.l1i, $b.l1i),
-                   l1d: sub_cache($a.l1d, $b.l1d), l2: sub_cache($a.l2, $b.l2),
-                   traffic: TrafficStats {
-                       dram_accesses: $a.traffic.dram_accesses - $b.traffic.dram_accesses,
-                       prefetch_traffic: $a.traffic.prefetch_traffic - $b.traffic.prefetch_traffic,
-                       ifetch_wait_cycles: $a.traffic.ifetch_wait_cycles
-                           - $b.traffic.ifetch_wait_cycles,
-                   },
-                   btb: BtbStats {
-                       lookups: $a.btb.lookups - $b.btb.lookups,
-                       hits: $a.btb.hits - $b.btb.hits,
-                       allocs: $a.btb.allocs - $b.btb.allocs,
-                   },
-        }
-    };
-}
-
-fn sub_outcomes(a: PrefetchOutcomes, b: PrefetchOutcomes) -> PrefetchOutcomes {
-    PrefetchOutcomes {
-        requests: a.requests - b.requests,
-        timely: a.timely - b.timely,
-        late: a.late - b.late,
-        useless_evicted: a.useless_evicted - b.useless_evicted,
-        useless_replaced: a.useless_replaced - b.useless_replaced,
-        dropped: a.dropped - b.dropped,
-    }
-}
-
-fn sub_cache(a: CacheStats, b: CacheStats) -> CacheStats {
-    CacheStats {
-        demand_accesses: a.demand_accesses - b.demand_accesses,
-        demand_hits: a.demand_hits - b.demand_hits,
-        demand_misses: a.demand_misses - b.demand_misses,
-        demand_merged: a.demand_merged - b.demand_merged,
-        prefetch_requests: a.prefetch_requests - b.prefetch_requests,
-        prefetch_fills: a.prefetch_fills - b.prefetch_fills,
-        prefetch_dropped: a.prefetch_dropped - b.prefetch_dropped,
-        useful_prefetches: a.useful_prefetches - b.useful_prefetches,
-        tag_probes: a.tag_probes - b.tag_probes,
-        evictions: a.evictions - b.evictions,
-        outcomes_fdp: sub_outcomes(a.outcomes_fdp, b.outcomes_fdp),
-        outcomes_pf: sub_outcomes(a.outcomes_pf, b.outcomes_pf),
-    }
-}
+// One field list per counter group: `SimStats::delta`, `from_json` and
+// the `counters` block of `to_json` all derive from these.
+record!(counters SimStats {
+    cycles, retired, retired_branches, retired_cond, mispredicts,
+    misp_cond_dir, misp_undetected, misp_indirect, misp_return,
+    flushes, pfc_restreams, pfc_case1, pfc_case2, pfc_harmful,
+    fixup_flushes, starvation_cycles, ftq_occupancy_sum,
+    miss_covered, miss_partial, miss_full, prefetch_candidates,
+    stall => "stall_cycles", l1i, l1d, l2, traffic, btb,
+});
+record!(counters CacheStats {
+    demand_accesses, demand_hits, demand_misses, demand_merged,
+    prefetch_requests, prefetch_fills, prefetch_dropped,
+    useful_prefetches, tag_probes, evictions,
+    outcomes_fdp => "prefetch_outcomes" / "fdp",
+    outcomes_pf => "prefetch_outcomes" / "pf",
+});
+record!(counters PrefetchOutcomes {
+    requests, timely, late, useless_evicted, useless_replaced, dropped,
+});
+record!(counters TrafficStats { dram_accesses, prefetch_traffic, ifetch_wait_cycles });
+record!(counters BtbStats { lookups, hits, allocs });
 
 impl SimStats {
     /// Counters accumulated between `earlier` and `self` (used to strip
     /// warm-up).
     pub fn delta(&self, earlier: &SimStats) -> SimStats {
-        sub_fields!(self, earlier, {
-            cycles, retired, retired_branches, retired_cond, mispredicts,
-            misp_cond_dir, misp_undetected, misp_indirect, misp_return,
-            flushes, pfc_restreams, pfc_case1, pfc_case2, pfc_harmful,
-            fixup_flushes, starvation_cycles, ftq_occupancy_sum,
-            miss_covered, miss_partial, miss_full, prefetch_candidates,
-        })
+        Counters::sub(self, earlier)
+    }
+
+    /// Parses the `counters` block of [`SimStats::to_json`] back, exactly:
+    /// `SimStats::from_json(&s.to_json()) == Some(s)`, which the
+    /// `fdip-serve` result cache relies on. Derived metrics are
+    /// recomputed on demand. `None` if a counter is missing or mistyped.
+    pub fn from_json(v: &Json) -> Option<SimStats> {
+        SimStats::decode(v.get("counters")?)
     }
 
     /// Instructions per cycle.
@@ -361,12 +317,11 @@ impl SimStats {
         if self.cycles == 0 {
             return 0.0;
         }
-        let fe = self.stall.fetch_bw
-            + self.stall.icache_miss
-            + self.stall.ftq_empty
-            + self.stall.pred_latency
-            + self.stall.redirect
-            + self.stall.pfc_restream;
+        let fe: u64 = StallReason::ALL
+            .into_iter()
+            .filter(|r| !matches!(r, StallReason::Committing | StallReason::Backend))
+            .map(|r| self.stall.get(r))
+            .sum();
         fe as f64 / self.cycles as f64
     }
 
@@ -427,198 +382,12 @@ fn outcome_coverage(o: &PrefetchOutcomes, demand_misses: u64) -> f64 {
     used as f64 / (used + demand_misses) as f64
 }
 
-/// Required `u64` field lookup for the `from_json` parsers.
-fn req_u64(v: &Json, key: &str) -> Option<u64> {
-    v.get(key)?.as_u64()
-}
-
-fn outcomes_from_json(v: &Json) -> Option<PrefetchOutcomes> {
-    Some(PrefetchOutcomes {
-        requests: req_u64(v, "requests")?,
-        timely: req_u64(v, "timely")?,
-        late: req_u64(v, "late")?,
-        useless_evicted: req_u64(v, "useless_evicted")?,
-        useless_replaced: req_u64(v, "useless_replaced")?,
-        dropped: req_u64(v, "dropped")?,
-    })
-}
-
-fn cache_from_json(v: &Json) -> Option<CacheStats> {
-    let outcomes = v.get("prefetch_outcomes")?;
-    Some(CacheStats {
-        demand_accesses: req_u64(v, "demand_accesses")?,
-        demand_hits: req_u64(v, "demand_hits")?,
-        demand_misses: req_u64(v, "demand_misses")?,
-        demand_merged: req_u64(v, "demand_merged")?,
-        prefetch_requests: req_u64(v, "prefetch_requests")?,
-        prefetch_fills: req_u64(v, "prefetch_fills")?,
-        prefetch_dropped: req_u64(v, "prefetch_dropped")?,
-        useful_prefetches: req_u64(v, "useful_prefetches")?,
-        tag_probes: req_u64(v, "tag_probes")?,
-        evictions: req_u64(v, "evictions")?,
-        outcomes_fdp: outcomes_from_json(outcomes.get("fdp")?)?,
-        outcomes_pf: outcomes_from_json(outcomes.get("pf")?)?,
-    })
-}
-
-fn stall_from_json(v: &Json) -> Option<StallCycles> {
-    Some(StallCycles {
-        committing: req_u64(v, "committing")?,
-        backend: req_u64(v, "backend")?,
-        fetch_bw: req_u64(v, "fetch_bw")?,
-        icache_miss: req_u64(v, "icache_miss")?,
-        ftq_empty: req_u64(v, "ftq_empty")?,
-        pred_latency: req_u64(v, "pred_latency")?,
-        redirect: req_u64(v, "redirect")?,
-        pfc_restream: req_u64(v, "pfc_restream")?,
-    })
-}
-
-impl SimStats {
-    /// Reconstructs the raw counters from a [`ToJson`] document.
-    ///
-    /// The inverse of [`SimStats::to_json`] for the `counters` block;
-    /// the `derived` block is ignored because every derived metric is a
-    /// pure function of the counters and is recomputed on demand. Thus
-    /// `SimStats::from_json(&s.to_json()) == Some(s)` exactly — the
-    /// property the `fdip-serve` result cache relies on. Returns `None`
-    /// if any counter field is missing or mistyped.
-    pub fn from_json(v: &Json) -> Option<SimStats> {
-        let c = v.get("counters")?;
-        Some(SimStats {
-            cycles: req_u64(c, "cycles")?,
-            retired: req_u64(c, "retired")?,
-            retired_branches: req_u64(c, "retired_branches")?,
-            retired_cond: req_u64(c, "retired_cond")?,
-            mispredicts: req_u64(c, "mispredicts")?,
-            misp_cond_dir: req_u64(c, "misp_cond_dir")?,
-            misp_undetected: req_u64(c, "misp_undetected")?,
-            misp_indirect: req_u64(c, "misp_indirect")?,
-            misp_return: req_u64(c, "misp_return")?,
-            flushes: req_u64(c, "flushes")?,
-            pfc_restreams: req_u64(c, "pfc_restreams")?,
-            pfc_case1: req_u64(c, "pfc_case1")?,
-            pfc_case2: req_u64(c, "pfc_case2")?,
-            pfc_harmful: req_u64(c, "pfc_harmful")?,
-            fixup_flushes: req_u64(c, "fixup_flushes")?,
-            starvation_cycles: req_u64(c, "starvation_cycles")?,
-            ftq_occupancy_sum: req_u64(c, "ftq_occupancy_sum")?,
-            miss_covered: req_u64(c, "miss_covered")?,
-            miss_partial: req_u64(c, "miss_partial")?,
-            miss_full: req_u64(c, "miss_full")?,
-            prefetch_candidates: req_u64(c, "prefetch_candidates")?,
-            stall: stall_from_json(c.get("stall_cycles")?)?,
-            l1i: cache_from_json(c.get("l1i")?)?,
-            l1d: cache_from_json(c.get("l1d")?)?,
-            l2: cache_from_json(c.get("l2")?)?,
-            traffic: {
-                let t = c.get("traffic")?;
-                TrafficStats {
-                    dram_accesses: req_u64(t, "dram_accesses")?,
-                    prefetch_traffic: req_u64(t, "prefetch_traffic")?,
-                    ifetch_wait_cycles: req_u64(t, "ifetch_wait_cycles")?,
-                }
-            },
-            btb: {
-                let b = c.get("btb")?;
-                BtbStats {
-                    lookups: req_u64(b, "lookups")?,
-                    hits: req_u64(b, "hits")?,
-                    allocs: req_u64(b, "allocs")?,
-                }
-            },
-        })
-    }
-}
-
-fn outcomes_json(o: &PrefetchOutcomes) -> Json {
-    Json::obj()
-        .with("requests", o.requests)
-        .with("timely", o.timely)
-        .with("late", o.late)
-        .with("useless_evicted", o.useless_evicted)
-        .with("useless_replaced", o.useless_replaced)
-        .with("dropped", o.dropped)
-}
-
-fn cache_json(c: &CacheStats) -> Json {
-    Json::obj()
-        .with("demand_accesses", c.demand_accesses)
-        .with("demand_hits", c.demand_hits)
-        .with("demand_misses", c.demand_misses)
-        .with("demand_merged", c.demand_merged)
-        .with("prefetch_requests", c.prefetch_requests)
-        .with("prefetch_fills", c.prefetch_fills)
-        .with("prefetch_dropped", c.prefetch_dropped)
-        .with("useful_prefetches", c.useful_prefetches)
-        .with("tag_probes", c.tag_probes)
-        .with("evictions", c.evictions)
-        .with(
-            "prefetch_outcomes",
-            Json::obj()
-                .with("fdp", outcomes_json(&c.outcomes_fdp))
-                .with("pf", outcomes_json(&c.outcomes_pf)),
-        )
-}
-
-fn stall_json(s: &StallCycles) -> Json {
-    Json::obj()
-        .with("committing", s.committing)
-        .with("backend", s.backend)
-        .with("fetch_bw", s.fetch_bw)
-        .with("icache_miss", s.icache_miss)
-        .with("ftq_empty", s.ftq_empty)
-        .with("pred_latency", s.pred_latency)
-        .with("redirect", s.redirect)
-        .with("pfc_restream", s.pfc_restream)
-}
-
 impl ToJson for SimStats {
     /// Serializes as `{counters: {...}, derived: {...}}` — every raw
     /// counter (with nested `l1i`/`l1d`/`l2`/`traffic`/`btb` groups)
     /// plus every derived metric. The field names are the schema
     /// documented in `docs/METRICS.md`.
     fn to_json(&self) -> Json {
-        let counters = Json::obj()
-            .with("cycles", self.cycles)
-            .with("retired", self.retired)
-            .with("retired_branches", self.retired_branches)
-            .with("retired_cond", self.retired_cond)
-            .with("mispredicts", self.mispredicts)
-            .with("misp_cond_dir", self.misp_cond_dir)
-            .with("misp_undetected", self.misp_undetected)
-            .with("misp_indirect", self.misp_indirect)
-            .with("misp_return", self.misp_return)
-            .with("flushes", self.flushes)
-            .with("pfc_restreams", self.pfc_restreams)
-            .with("pfc_case1", self.pfc_case1)
-            .with("pfc_case2", self.pfc_case2)
-            .with("pfc_harmful", self.pfc_harmful)
-            .with("fixup_flushes", self.fixup_flushes)
-            .with("starvation_cycles", self.starvation_cycles)
-            .with("ftq_occupancy_sum", self.ftq_occupancy_sum)
-            .with("miss_covered", self.miss_covered)
-            .with("miss_partial", self.miss_partial)
-            .with("miss_full", self.miss_full)
-            .with("prefetch_candidates", self.prefetch_candidates)
-            .with("stall_cycles", stall_json(&self.stall))
-            .with("l1i", cache_json(&self.l1i))
-            .with("l1d", cache_json(&self.l1d))
-            .with("l2", cache_json(&self.l2))
-            .with(
-                "traffic",
-                Json::obj()
-                    .with("dram_accesses", self.traffic.dram_accesses)
-                    .with("prefetch_traffic", self.traffic.prefetch_traffic)
-                    .with("ifetch_wait_cycles", self.traffic.ifetch_wait_cycles),
-            )
-            .with(
-                "btb",
-                Json::obj()
-                    .with("lookups", self.btb.lookups)
-                    .with("hits", self.btb.hits)
-                    .with("allocs", self.btb.allocs),
-            );
         let per_ki = |v: u64| {
             if self.retired == 0 {
                 0.0
@@ -648,7 +417,7 @@ impl ToJson for SimStats {
             .with("fdp_accuracy", self.fdp_accuracy())
             .with("fdp_timeliness", self.fdp_timeliness());
         Json::obj()
-            .with("counters", counters)
+            .with("counters", self.encode())
             .with("derived", derived)
     }
 }

@@ -15,11 +15,8 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use fdip_bpred::{BtbConfig, GshareConfig, HistoryPolicy, IttageConfig, TageConfig};
-use fdip_mem::{CacheConfig, HierarchyConfig};
-use fdip_prefetch::PrefetcherKind;
 use fdip_program::workload::Workload;
-use fdip_sim::{BackendConfig, CoreConfig, DirectionConfig, SimDists, SimStats};
+use fdip_sim::{CoreConfig, SimDists, SimStats, Wire};
 use fdip_telemetry::{Json, SCHEMA_VERSION};
 
 /// Wire path of the grid-execution endpoint.
@@ -76,217 +73,19 @@ pub fn cell_key(cfg_hash: u64, wl_hash: u64, seed: u64, warmup: u64, measure: u6
     format!("{:016x}", fnv1a64(canon.as_bytes()))
 }
 
-fn direction_to_json(d: &DirectionConfig) -> Json {
-    match d {
-        DirectionConfig::Tage(t) => Json::obj()
-            .with("kind", "tage")
-            .with("num_tables", t.num_tables as u64)
-            .with("entries_log2", u64::from(t.entries_log2))
-            .with("tag_bits", u64::from(t.tag_bits))
-            .with("min_hist", u64::from(t.min_hist))
-            .with("max_hist", u64::from(t.max_hist))
-            .with("bimodal_log2", u64::from(t.bimodal_log2)),
-        DirectionConfig::Gshare(g) => Json::obj()
-            .with("kind", "gshare")
-            .with("table_log2", u64::from(g.table_log2))
-            .with("hist_bits", u64::from(g.hist_bits)),
-        DirectionConfig::Perfect => Json::obj().with("kind", "perfect"),
-    }
-}
-
-fn cache_cfg_to_json(c: &CacheConfig) -> Json {
-    Json::obj()
-        .with("size_bytes", c.size_bytes as u64)
-        .with("assoc", c.assoc as u64)
-        .with("line_bytes", c.line_bytes as u64)
-        .with("hit_latency", c.hit_latency)
-        .with("mshrs", c.mshrs as u64)
-}
-
-/// Serializes a [`CoreConfig`] into its canonical wire form.
-///
-/// Field names and nesting are specified in `docs/SERVE.md`; the field
-/// *order* is part of the cache-key contract (see [`config_hash`]), so
-/// new fields must be appended, never reordered.
+/// Serializes a [`CoreConfig`] into its canonical wire form
+/// (`docs/SERVE.md`). Field *order* is part of the cache-key contract
+/// (see [`config_hash`]): new fields are appended, never reordered.
 pub fn config_to_json(cfg: &CoreConfig) -> Json {
-    Json::obj()
-        .with("fetch_width", cfg.fetch_width as u64)
-        .with("decode_width", cfg.decode_width as u64)
-        .with("pred_bw", cfg.pred_bw as u64)
-        .with("multi_taken", cfg.multi_taken)
-        .with("ftq_entries", cfg.ftq_entries as u64)
-        .with(
-            "btb",
-            Json::obj()
-                .with("entries", cfg.btb.entries as u64)
-                .with("assoc", cfg.btb.assoc as u64),
-        )
-        .with("btb_latency", cfg.btb_latency)
-        .with("perfect_btb", cfg.perfect_btb)
-        .with("perfect_indirect", cfg.perfect_indirect)
-        .with("direction", direction_to_json(&cfg.direction))
-        .with(
-            "ittage",
-            Json::obj()
-                .with("entries_log2", u64::from(cfg.ittage.entries_log2))
-                .with("base_log2", u64::from(cfg.ittage.base_log2))
-                .with("tag_bits", u64::from(cfg.ittage.tag_bits))
-                .with(
-                    "hist_lens",
-                    Json::Arr(
-                        cfg.ittage
-                            .hist_lens
-                            .iter()
-                            .map(|&l| Json::from(u64::from(l)))
-                            .collect(),
-                    ),
-                ),
-        )
-        .with("policy", cfg.policy.label())
-        .with("pfc", cfg.pfc)
-        .with("loop_predictor", cfg.loop_predictor)
-        .with("prefetcher", cfg.prefetcher.label())
-        .with("prefetch_issue_bw", cfg.prefetch_issue_bw as u64)
-        .with("redirect_penalty", cfg.redirect_penalty)
-        .with("pfc_redirect_penalty", cfg.pfc_redirect_penalty)
-        .with("func_warmup", cfg.func_warmup)
-        .with(
-            "mem",
-            Json::obj()
-                .with("l1i", cache_cfg_to_json(&cfg.mem.l1i))
-                .with("l1d", cache_cfg_to_json(&cfg.mem.l1d))
-                .with("l2", cache_cfg_to_json(&cfg.mem.l2))
-                .with("llc", cache_cfg_to_json(&cfg.mem.llc))
-                .with("dram_latency", cfg.mem.dram_latency),
-        )
-        .with(
-            "backend",
-            Json::obj()
-                .with("rob_size", cfg.backend.rob_size as u64)
-                .with("decode_queue", cfg.backend.decode_queue as u64)
-                .with("dispatch_width", cfg.backend.dispatch_width as u64)
-                .with("retire_width", cfg.backend.retire_width as u64)
-                .with("frontend_depth", cfg.backend.frontend_depth)
-                .with("data_hot_bytes", cfg.backend.data_hot_bytes)
-                .with("data_total_bytes", cfg.backend.data_total_bytes)
-                .with("data_hot_pct", u64::from(cfg.backend.data_hot_pct)),
-        )
+    cfg.encode()
 }
 
-fn req_u64(v: &Json, key: &str) -> Option<u64> {
-    v.get(key)?.as_u64()
-}
-
-fn req_usize(v: &Json, key: &str) -> Option<usize> {
-    usize::try_from(req_u64(v, key)?).ok()
-}
-
-fn req_bool(v: &Json, key: &str) -> Option<bool> {
-    v.get(key)?.as_bool()
-}
-
-fn direction_from_json(v: &Json) -> Option<DirectionConfig> {
-    match v.get("kind")?.as_str()? {
-        "tage" => Some(DirectionConfig::Tage(TageConfig {
-            num_tables: req_usize(v, "num_tables")?,
-            entries_log2: req_u64(v, "entries_log2")? as u32,
-            tag_bits: req_u64(v, "tag_bits")? as u32,
-            min_hist: req_u64(v, "min_hist")? as u32,
-            max_hist: req_u64(v, "max_hist")? as u32,
-            bimodal_log2: req_u64(v, "bimodal_log2")? as u32,
-        })),
-        "gshare" => Some(DirectionConfig::Gshare(GshareConfig {
-            table_log2: req_u64(v, "table_log2")? as u32,
-            hist_bits: req_u64(v, "hist_bits")? as u32,
-        })),
-        "perfect" => Some(DirectionConfig::Perfect),
-        _ => None,
-    }
-}
-
-fn cache_cfg_from_json(v: &Json) -> Option<CacheConfig> {
-    Some(CacheConfig {
-        size_bytes: req_usize(v, "size_bytes")?,
-        assoc: req_usize(v, "assoc")?,
-        line_bytes: req_usize(v, "line_bytes")?,
-        hit_latency: req_u64(v, "hit_latency")?,
-        mshrs: req_usize(v, "mshrs")?,
-    })
-}
-
-fn policy_from_label(label: &str) -> Option<HistoryPolicy> {
-    HistoryPolicy::ALL.into_iter().find(|p| p.label() == label)
-}
-
-fn prefetcher_from_label(label: &str) -> Option<PrefetcherKind> {
-    PrefetcherKind::ALL.into_iter().find(|k| k.label() == label)
-}
-
-/// Parses the canonical wire form back into a [`CoreConfig`].
-///
-/// The exact inverse of [`config_to_json`]; every field is required and
-/// enum fields must carry a known label, so a `Some` result always
-/// re-serializes to the same canonical string (and therefore the same
-/// [`config_hash`]).
+/// The exact inverse of [`config_to_json`]. Every field is required, and
+/// a value that does not fit its field or lies outside the range the
+/// simulator can build is rejected, so a `Some` result always simulates
+/// and re-serializes to the same canonical string and [`config_hash`].
 pub fn config_from_json(v: &Json) -> Option<CoreConfig> {
-    let btb = v.get("btb")?;
-    let ittage = v.get("ittage")?;
-    let hist_lens_arr = ittage.get("hist_lens")?.as_arr()?;
-    if hist_lens_arr.len() != 4 {
-        return None;
-    }
-    let mut hist_lens = [0u32; 4];
-    for (slot, l) in hist_lens.iter_mut().zip(hist_lens_arr) {
-        *slot = l.as_u64()? as u32;
-    }
-    let mem = v.get("mem")?;
-    let backend = v.get("backend")?;
-    Some(CoreConfig {
-        fetch_width: req_usize(v, "fetch_width")?,
-        decode_width: req_usize(v, "decode_width")?,
-        pred_bw: req_usize(v, "pred_bw")?,
-        multi_taken: req_bool(v, "multi_taken")?,
-        ftq_entries: req_usize(v, "ftq_entries")?,
-        btb: BtbConfig {
-            entries: req_usize(btb, "entries")?,
-            assoc: req_usize(btb, "assoc")?,
-        },
-        btb_latency: req_u64(v, "btb_latency")?,
-        perfect_btb: req_bool(v, "perfect_btb")?,
-        perfect_indirect: req_bool(v, "perfect_indirect")?,
-        direction: direction_from_json(v.get("direction")?)?,
-        ittage: IttageConfig {
-            entries_log2: req_u64(ittage, "entries_log2")? as u32,
-            base_log2: req_u64(ittage, "base_log2")? as u32,
-            tag_bits: req_u64(ittage, "tag_bits")? as u32,
-            hist_lens,
-        },
-        policy: policy_from_label(v.get("policy")?.as_str()?)?,
-        pfc: req_bool(v, "pfc")?,
-        loop_predictor: req_bool(v, "loop_predictor")?,
-        prefetcher: prefetcher_from_label(v.get("prefetcher")?.as_str()?)?,
-        prefetch_issue_bw: req_usize(v, "prefetch_issue_bw")?,
-        redirect_penalty: req_u64(v, "redirect_penalty")?,
-        pfc_redirect_penalty: req_u64(v, "pfc_redirect_penalty")?,
-        func_warmup: req_u64(v, "func_warmup")?,
-        mem: HierarchyConfig {
-            l1i: cache_cfg_from_json(mem.get("l1i")?)?,
-            l1d: cache_cfg_from_json(mem.get("l1d")?)?,
-            l2: cache_cfg_from_json(mem.get("l2")?)?,
-            llc: cache_cfg_from_json(mem.get("llc")?)?,
-            dram_latency: req_u64(mem, "dram_latency")?,
-        },
-        backend: BackendConfig {
-            rob_size: req_usize(backend, "rob_size")?,
-            decode_queue: req_usize(backend, "decode_queue")?,
-            dispatch_width: req_usize(backend, "dispatch_width")?,
-            retire_width: req_usize(backend, "retire_width")?,
-            frontend_depth: req_u64(backend, "frontend_depth")?,
-            data_hot_bytes: req_u64(backend, "data_hot_bytes")?,
-            data_total_bytes: req_u64(backend, "data_total_bytes")?,
-            data_hot_pct: req_u64(backend, "data_hot_pct")? as u8,
-        },
-    })
+    CoreConfig::decode(v)
 }
 
 /// Builds the `POST /v1/grid` request body for a config × workload grid.
@@ -518,6 +317,9 @@ impl RemoteClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fdip_bpred::{BtbConfig, GshareConfig, HistoryPolicy, TageConfig};
+    use fdip_prefetch::PrefetcherKind;
+    use fdip_sim::DirectionConfig;
 
     #[test]
     fn config_codec_round_trips_every_field() {
@@ -577,13 +379,14 @@ mod tests {
     #[test]
     fn every_prefetcher_and_policy_label_round_trips() {
         for kind in PrefetcherKind::ALL {
-            assert_eq!(prefetcher_from_label(kind.label()), Some(kind));
+            assert_eq!(kind.encode(), Json::from(kind.label()));
+            assert_eq!(PrefetcherKind::decode(&kind.encode()), Some(kind));
         }
         for policy in HistoryPolicy::ALL {
-            assert_eq!(policy_from_label(policy.label()), Some(policy));
+            assert_eq!(HistoryPolicy::decode(&policy.encode()), Some(policy));
         }
-        assert_eq!(prefetcher_from_label("bogus"), None);
-        assert_eq!(policy_from_label("bogus"), None);
+        assert_eq!(PrefetcherKind::decode(&Json::from("bogus")), None);
+        assert_eq!(HistoryPolicy::decode(&Json::from("bogus")), None);
     }
 
     #[test]
@@ -592,6 +395,11 @@ mod tests {
         let b = CoreConfig::no_fdp();
         assert_ne!(config_hash(&a), config_hash(&b));
         assert_eq!(config_hash(&a), config_hash(&CoreConfig::fdp()));
+        // Every stored cache key depends on these canonical bytes; the
+        // values were measured before the codec was derived from the
+        // config structs' field lists.
+        assert_eq!(config_hash(&a), 0x5da7_f142_5c98_b5b3);
+        assert_eq!(config_hash(&b), 0xfd4f_879e_332c_0670);
         // FNV-1a reference vector: hash of the empty string.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
@@ -613,8 +421,54 @@ mod tests {
     fn malformed_configs_are_rejected() {
         let good = config_to_json(&CoreConfig::fdp());
         assert!(config_from_json(&good).is_some());
-        assert!(config_from_json(&good.clone().with("policy", "nope")).is_none());
-        assert!(config_from_json(&good.clone().with("pfc", Json::Null)).is_none());
-        assert!(config_from_json(&Json::obj()).is_none());
+        let with = |group: &str, key: &str, value: Json| {
+            let mut inner = good.get(group).cloned().unwrap();
+            inner.set(key, value);
+            good.clone().with(group, inner)
+        };
+        let rejected = [
+            good.clone().with("policy", "nope"),
+            good.clone().with("pfc", Json::Null),
+            Json::obj(),
+            // Each of these once reached the simulator: a BTB with no
+            // ways and a TAGE fold wider than 31 bits panicked in the
+            // constructors; 2^32 + 9 was truncated to TAGE size 9.
+            with("btb", "assoc", Json::from(0u64)),
+            with("direction", "entries_log2", Json::from(40u64)),
+            with("direction", "entries_log2", Json::from(4_294_967_305u64)),
+            with("btb", "entries", Json::from(3000u64)),
+            with("direction", "min_hist", Json::from(300u64)),
+            with("direction", "kind", Json::from("oracle")),
+            with("ittage", "hist_lens", Json::from(vec![12u32, 40, 120])),
+            with("ittage", "hist_lens", Json::from(vec![12u32, 40, 120, 600])),
+            with("backend", "data_hot_pct", Json::from(256u64)),
+            good.clone().with("fetch_width", 0u64),
+            good.clone().with("ftq_entries", 0u64),
+            good.clone().with("btb_latency", 3_000_000u64),
+        ];
+        for (i, bad) in rejected.iter().enumerate() {
+            assert!(config_from_json(bad).is_none(), "case {i} was accepted");
+        }
+    }
+
+    #[test]
+    fn the_benchmark_serve_grid_passes_validation() {
+        // Sweeps check their configs where they start
+        // (`Runner::run_configs_detailed`); the benchmark's serve grid
+        // reaches the daemon without a runner.
+        for entries in [512, 1024, 2048, 4096, 8192, 16384] {
+            for ftq in [8, 12, 16, 24, 32] {
+                for policy in HistoryPolicy::ALL {
+                    for pfc in [false, true] {
+                        let cfg = CoreConfig::fdp()
+                            .with_btb_entries(entries)
+                            .with_pfc(pfc)
+                            .with_ftq(ftq)
+                            .with_policy(policy);
+                        assert!(config_from_json(&config_to_json(&cfg)).is_some());
+                    }
+                }
+            }
+        }
     }
 }

@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::remote::RemoteClient;
+use crate::remote::{config_from_json, config_to_json, RemoteClient};
 use crate::suite::{SuiteResult, WorkloadResult};
 use fdip_exec::Pool;
 use fdip_program::workload::{self, Workload};
@@ -258,6 +258,12 @@ impl Runner {
         if cfgs.is_empty() {
             return Vec::new();
         }
+        // A config the daemon would refuse is one no sweep should build.
+        debug_assert!(
+            cfgs.iter()
+                .all(|c| config_from_json(&config_to_json(c)).is_some()),
+            "a sweep config falls outside the wire codec's ranges"
+        );
         if let Some(grid) = self.try_remote(cfgs) {
             return grid;
         }

@@ -374,11 +374,6 @@ pub fn log(level: Level, target: &str, msg: &str, fields: &[(&str, Json)]) {
     logger().log(level, target, msg, fields);
 }
 
-/// [`log`] at [`Level::Error`].
-pub fn error(target: &str, msg: &str, fields: &[(&str, Json)]) {
-    log(Level::Error, target, msg, fields);
-}
-
 /// [`log`] at [`Level::Warn`].
 pub fn warn(target: &str, msg: &str, fields: &[(&str, Json)]) {
     log(Level::Warn, target, msg, fields);
@@ -392,11 +387,6 @@ pub fn info(target: &str, msg: &str, fields: &[(&str, Json)]) {
 /// [`log`] at [`Level::Debug`].
 pub fn debug(target: &str, msg: &str, fields: &[(&str, Json)]) {
     log(Level::Debug, target, msg, fields);
-}
-
-/// [`log`] at [`Level::Trace`].
-pub fn trace(target: &str, msg: &str, fields: &[(&str, Json)]) {
-    log(Level::Trace, target, msg, fields);
 }
 
 #[cfg(test)]

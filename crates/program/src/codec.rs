@@ -56,48 +56,34 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-fn op_name(c: OpClass) -> &'static str {
-    match c {
-        OpClass::Alu => "alu",
-        OpClass::Mul => "mul",
-        OpClass::Fp => "fp",
-        OpClass::Load => "load",
-        OpClass::Store => "store",
-    }
+/// Wire names of the op classes and branch kinds, one `(value, name)`
+/// table per map; both directions search it.
+const OP_NAMES: [(OpClass, &str); 5] = [
+    (OpClass::Alu, "alu"),
+    (OpClass::Mul, "mul"),
+    (OpClass::Fp, "fp"),
+    (OpClass::Load, "load"),
+    (OpClass::Store, "store"),
+];
+const BRANCH_NAMES: [(BranchKind, &str); 6] = [
+    (BranchKind::CondDirect, "cond"),
+    (BranchKind::DirectJump, "jmp"),
+    (BranchKind::IndirectJump, "ijmp"),
+    (BranchKind::DirectCall, "call"),
+    (BranchKind::IndirectCall, "icall"),
+    (BranchKind::Return, "ret"),
+];
+
+fn name_of<T: PartialEq>(table: &[(T, &'static str)], value: T) -> &'static str {
+    table
+        .iter()
+        .find(|(v, _)| *v == value)
+        .map(|(_, n)| *n)
+        .expect("every op class and branch kind has a wire name")
 }
 
-fn op_from_name(s: &str) -> Option<OpClass> {
-    Some(match s {
-        "alu" => OpClass::Alu,
-        "mul" => OpClass::Mul,
-        "fp" => OpClass::Fp,
-        "load" => OpClass::Load,
-        "store" => OpClass::Store,
-        _ => return None,
-    })
-}
-
-fn branch_name(k: BranchKind) -> &'static str {
-    match k {
-        BranchKind::CondDirect => "cond",
-        BranchKind::DirectJump => "jmp",
-        BranchKind::IndirectJump => "ijmp",
-        BranchKind::DirectCall => "call",
-        BranchKind::IndirectCall => "icall",
-        BranchKind::Return => "ret",
-    }
-}
-
-fn branch_from_name(s: &str) -> Option<BranchKind> {
-    Some(match s {
-        "cond" => BranchKind::CondDirect,
-        "jmp" => BranchKind::DirectJump,
-        "ijmp" => BranchKind::IndirectJump,
-        "call" => BranchKind::DirectCall,
-        "icall" => BranchKind::IndirectCall,
-        "ret" => BranchKind::Return,
-        _ => return None,
-    })
+fn value_of<T: Copy>(table: &[(T, &str)], name: &str) -> Option<T> {
+    table.iter().find(|(_, n)| *n == name).map(|(v, _)| *v)
 }
 
 fn select_to_json(s: IndirectSelect) -> Json {
@@ -208,23 +194,23 @@ fn behavior_from_json(j: &Json) -> Result<BranchBehavior, CodecError> {
 
 fn instr_to_json(i: StaticInstr) -> Json {
     match i.kind {
-        InstrKind::Op(c) => Json::from(op_name(c)),
+        InstrKind::Op(c) => Json::from(name_of(&OP_NAMES, c)),
         InstrKind::Branch { kind, target } => Json::obj()
-            .with("k", branch_name(kind))
+            .with("k", name_of(&BRANCH_NAMES, kind))
             .with("t", target.raw()),
     }
 }
 
 fn instr_from_json(j: &Json) -> Result<StaticInstr, CodecError> {
     if let Some(s) = j.as_str() {
-        return op_from_name(s)
+        return value_of(&OP_NAMES, s)
             .map(StaticInstr::op)
             .ok_or_else(|| CodecError::new(format!("unknown op `{s}`")));
     }
     let kind = j
         .get("k")
         .and_then(Json::as_str)
-        .and_then(branch_from_name)
+        .and_then(|s| value_of(&BRANCH_NAMES, s))
         .ok_or_else(|| CodecError::new("malformed branch instruction"))?;
     let target = j
         .get("t")
@@ -359,6 +345,20 @@ mod tests {
         let orig: Vec<_> = ExecutionEngine::new(&p, 5).take(2000).collect();
         let replay: Vec<_> = ExecutionEngine::new(&back, 5).take(2000).collect();
         assert_eq!(orig, replay);
+    }
+
+    #[test]
+    fn name_tables_map_one_to_one() {
+        for (op, name) in OP_NAMES {
+            assert_eq!(name_of(&OP_NAMES, op), name);
+            assert_eq!(value_of(&OP_NAMES, name), Some(op));
+        }
+        for (kind, name) in BRANCH_NAMES {
+            assert_eq!(name_of(&BRANCH_NAMES, kind), name);
+            assert_eq!(value_of(&BRANCH_NAMES, name), Some(kind));
+        }
+        assert_eq!(value_of(&OP_NAMES, "jmp"), None);
+        assert_eq!(value_of(&BRANCH_NAMES, "alu"), None);
     }
 
     #[test]

@@ -55,11 +55,6 @@ impl<'a> ExecutionEngine<'a> {
         }
     }
 
-    /// The program being executed.
-    pub fn program(&self) -> &Program {
-        self.program
-    }
-
     /// Current program counter (address of the next instruction to issue).
     pub fn pc(&self) -> Addr {
         self.pc

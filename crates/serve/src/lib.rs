@@ -42,7 +42,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use fdip_exec::{CancelToken, Pool};
@@ -60,6 +60,9 @@ use http::{read_request, write_reply, Reply, Request, ServeError};
 use journal::Journal;
 use telemetry::ServeTelemetry;
 
+/// How long a slow or stalled client may take to send its request.
+const READ_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Daemon configuration; [`ServerConfig::new`] picks the defaults.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -73,8 +76,6 @@ pub struct ServerConfig {
     pub max_inflight_grids: usize,
     /// Largest accepted request body, in bytes (413 beyond it).
     pub max_body_bytes: usize,
-    /// Per-connection read timeout while receiving a request.
-    pub read_timeout_ms: u64,
     /// Wall-clock budget for one grid; beyond it the grid's remaining
     /// cells are cancelled and the client gets `408 timeout`.
     pub grid_timeout_ms: u64,
@@ -89,8 +90,8 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// Defaults: ephemeral loopback port, shared global pool, 4
-    /// in-flight grids, 8 MiB bodies, 10 s read timeout, 10 min grid
-    /// budget, no fault injection.
+    /// in-flight grids, 8 MiB bodies, 10 min grid budget, no fault
+    /// injection.
     pub fn new(state_dir: PathBuf) -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
@@ -98,7 +99,6 @@ impl ServerConfig {
             jobs: None,
             max_inflight_grids: 4,
             max_body_bytes: 8 << 20,
-            read_timeout_ms: 10_000,
             grid_timeout_ms: 600_000,
             crash_after_cells: None,
             trace_dir: None,
@@ -283,6 +283,22 @@ impl Server {
                                 ("message", e.message.as_str().into()),
                             ],
                         );
+                        // Only validation answers 400: a request that fails
+                        // it never completes, so close it for good.
+                        if e.status == 400 {
+                            if let Err(e) = shared
+                                .journal
+                                .lock()
+                                .expect("journal lock")
+                                .grid_end(&inc.grid_id)
+                            {
+                                log::warn(
+                                    "serve",
+                                    "journal write failed",
+                                    &[("error", e.to_string().as_str().into())],
+                                );
+                            }
+                        }
                     }
                 }
             })
@@ -348,12 +364,8 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
             break;
         }
         shared.gate.lock().expect("gate lock").connections += 1;
-        let shared = Arc::clone(shared);
-        std::thread::spawn(move || {
-            handle_connection(&shared, stream);
-            shared.gate.lock().expect("gate lock").connections -= 1;
-            shared.gate_cv.notify_all();
-        });
+        let guard = ConnectionGuard(Arc::clone(shared));
+        std::thread::spawn(move || handle_connection(&guard.0, stream));
     }
     // Refuse new connections while the drain completes.
     drop(listener);
@@ -364,14 +376,24 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
         .expect("gate lock");
 }
 
+/// Counts one open connection for the drain. It is dropped when the
+/// connection thread returns or unwinds, so a panicking handler cannot
+/// leave `ctl shutdown` waiting forever.
+struct ConnectionGuard(Arc<Shared>);
+
+impl Drop for ConnectionGuard {
+    fn drop(&mut self) {
+        let mut gate = self.0.gate.lock().unwrap_or_else(PoisonError::into_inner);
+        gate.connections -= 1;
+        drop(gate);
+        self.0.gate_cv.notify_all();
+    }
+}
+
 fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
     shared.telemetry.on_request();
     let timer = Timer::start();
-    let request = read_request(
-        &stream,
-        shared.config.max_body_bytes,
-        Duration::from_millis(shared.config.read_timeout_ms),
-    );
+    let request = read_request(&stream, shared.config.max_body_bytes, READ_TIMEOUT);
     let route = request
         .as_ref()
         .map(|r| format!("{} {}", r.method, r.path))

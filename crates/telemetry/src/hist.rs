@@ -89,28 +89,6 @@ impl Histogram {
         self.sum = self.sum.saturating_add(value.saturating_mul(n));
     }
 
-    /// Folds another histogram's samples into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (dst, src) in self.buckets.iter_mut().zip(&other.buckets) {
-            *dst += src;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-    }
-
     /// Discards all samples.
     pub fn clear(&mut self) {
         self.buckets.clear();
@@ -309,27 +287,6 @@ mod tests {
         // p99 lands in the [64,127] bucket; clamped to observed max 100.
         assert_eq!(h.percentile(0.99), Some(100));
         assert_eq!(h.percentile(1.0), Some(100));
-    }
-
-    #[test]
-    fn merge_matches_recording_directly() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut all = Histogram::new();
-        for v in [0u64, 1, 5, 9] {
-            a.record(v);
-            all.record(v);
-        }
-        for v in [2u64, 1024, 65535] {
-            b.record(v);
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, all);
-        // Merging into an empty histogram adopts min/max.
-        let mut empty = Histogram::new();
-        empty.merge(&all);
-        assert_eq!(empty, all);
     }
 
     #[test]

@@ -133,6 +133,16 @@ for trace in "$tmp"/serve-traces/grid-*.json; do
 done
 grep -q '"msg":"daemon started"' "$tmp/serve-file.log"
 ./target/release/fdip-serve ctl "$addr" shutdown > /dev/null
+# A daemon that never drains fails the gate instead of hanging it.
+for _ in $(seq 1 600); do
+  kill -0 "$serve_pid" 2> /dev/null || break
+  sleep 0.1
+done
+if kill -0 "$serve_pid" 2> /dev/null; then
+  echo "fdip-serve did not drain within 60 s of ctl shutdown" >&2
+  kill "$serve_pid"
+  exit 1
+fi
 wait "$serve_pid"
 test -f "$tmp/serve-state/journal.log"
 if [ -s "$tmp/serve-state/journal.log" ]; then

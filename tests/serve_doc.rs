@@ -20,6 +20,7 @@ use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::time::Duration;
 
 use fdip_bpred::GshareConfig;
 use fdip_harness::remote::{
@@ -236,7 +237,58 @@ fn documented_error_codes_behave_as_written() {
     assert_eq!(status, 200);
     assert!(support::doc("SERVE.md").contains(&format!("deeper than {} levels", Json::MAX_DEPTH)));
 
-    server.stop();
+    // 400 bad_request on configs the simulator cannot build: a BTB with
+    // no ways and a TAGE fold wider than 31 bits once panicked inside the
+    // daemon (no reply, and a drain that never finished), and 2^32 + 9
+    // was truncated to TAGE size 9 and answered 200.
+    for (group, key, value) in [
+        ("btb", "assoc", 0u64),
+        ("direction", "entries_log2", 40),
+        ("direction", "entries_log2", 4_294_967_305),
+    ] {
+        let mut cfg = config_to_json(&CoreConfig::fdp());
+        let mut inner = cfg.get(group).cloned().unwrap();
+        inner.set(key, value);
+        cfg.set(group, inner);
+        let body = grid_request("t", "quick", 500, 2_000, &[])
+            .with("configs", vec![cfg])
+            .to_string();
+        // Raw bytes with a read deadline: a daemon that panics on the
+        // config never answers, and the test must fail, not hang.
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        write!(
+            stream,
+            "POST {GRID_PATH} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        assert!(
+            reply.starts_with("HTTP/1.1 400 "),
+            "{key}: {value}: {reply}"
+        );
+        assert!(reply.contains("\"bad_request\""), "{key}: {value}: {reply}");
+    }
+    assert!(support::doc("SERVE.md").contains("outside the documented range"));
+
+    // Then the daemon drains on shutdown, within a deadline, and leaves
+    // an empty journal.
+    let (status, _) = http_json_request(&addr, "POST", SHUTDOWN_PATH, None).unwrap();
+    assert_eq!(status, 200);
+    let (done, drained) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.join();
+        done.send(()).ok();
+    });
+    drained
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the daemon drains after the rejected grids");
+    let journal = std::fs::read_to_string(dir.join("journal.log")).unwrap();
+    assert!(journal.is_empty(), "{journal}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -5,14 +5,17 @@
 //!   content-addressed cache the second time, and both responses carry
 //!   byte-identical results that match a direct local run;
 //! * a daemon killed mid-grid resumes from its checkpoint journal
-//!   without re-simulating the cells that already reached the cache.
+//!   without re-simulating the cells that already reached the cache;
+//! * a journaled grid that no longer passes validation is closed on
+//!   replay instead of being replayed on every restart.
 
 use std::path::PathBuf;
 
 use fdip_harness::remote::{
-    grid_request, http_json_request, RemoteClient, GRID_PATH, TELEMETRY_PATH,
+    config_to_json, grid_request, http_json_request, RemoteClient, GRID_PATH, TELEMETRY_PATH,
 };
 use fdip_harness::Runner;
+use fdip_serve::journal::Journal;
 use fdip_serve::{Server, ServerConfig};
 use fdip_sim::CoreConfig;
 use fdip_telemetry::{Json, ToJson};
@@ -197,6 +200,31 @@ fn killed_daemon_resumes_from_journal_without_resimulating() {
     assert_eq!(stripped_cells(&response), strip_local(&local));
 
     server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn journaled_grid_that_fails_validation_is_closed_on_replay() {
+    // A daemon without the config ranges journaled this grid (a BTB with
+    // no ways) before its simulation panicked; each restart replayed it.
+    let dir = state_dir("invalid-replay");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut cfg = config_to_json(&CoreConfig::fdp());
+    cfg.set(
+        "btb",
+        Json::obj().with("entries", 8192u64).with("assoc", 0u64),
+    );
+    let request = grid_request("e2e", "quick", WARMUP, MEASURE, &[]).with("configs", vec![cfg]);
+    let begin = Json::obj()
+        .with("op", "grid_begin")
+        .with("grid_id", "g-invalid")
+        .with("request", request);
+    std::fs::write(dir.join("journal.log"), begin.to_string() + "\n").unwrap();
+
+    let server = Server::spawn(ServerConfig::new(dir.clone())).expect("server spawns");
+    server.stop();
+    let (_, incomplete) = Journal::open(dir.join("journal.log")).expect("journal opens");
+    assert!(incomplete.is_empty(), "the invalid grid is still open");
     std::fs::remove_dir_all(&dir).ok();
 }
 
