@@ -250,7 +250,7 @@ record!(BackendConfig {
     data_hot_bytes,
     data_total_bytes,
     data_hot_pct: 0..=100,
-});
+} check |b| b.data_hot_bytes < b.data_total_bytes);
 record!(HierarchyConfig {
     l1i,
     l1d,

@@ -134,40 +134,6 @@ thread_local! {
     static WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
 }
 
-/// A shared cancellation flag for [`Pool::run_batch_cancellable`].
-///
-/// Cancellation is cooperative and queue-granular: jobs that have not
-/// started when the token fires are *skipped* (their slot resolves to
-/// `None`), while jobs already executing run to completion — a
-/// simulation cell is never torn mid-run. Clones share the flag, so one
-/// token can drain many batches at once (the `fdip-serve` shutdown
-/// path).
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken {
-    flag: Arc<std::sync::atomic::AtomicBool>,
-}
-
-impl CancelToken {
-    /// Creates a token in the not-cancelled state.
-    pub fn new() -> CancelToken {
-        CancelToken::default()
-    }
-
-    /// Fires the token: queued-but-unstarted jobs in any batch guarded
-    /// by this token will be skipped.
-    pub fn cancel(&self) {
-        // Release pairs with the Acquire in `is_cancelled`: a worker
-        // that observes the flag also observes everything the
-        // cancelling thread wrote before firing it.
-        self.flag.store(true, Ordering::Release);
-    }
-
-    /// Whether the token has fired.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
-    }
-}
-
 /// Per-batch completion state: indexed result slots and the number of
 /// jobs not yet finished.
 struct Batch<T> {
@@ -258,26 +224,6 @@ impl Pool {
             .into_iter()
             .collect::<std::thread::Result<Vec<T>>>()
             .unwrap_or_else(|p| resume_unwind(p))
-    }
-
-    /// Like [`Pool::run_batch`], but every job is guarded by `token`:
-    /// jobs that have not started when the token fires are skipped and
-    /// their slots resolve to `None`. Jobs already executing when the
-    /// token fires run to completion, so every `Some` result is a fully
-    /// computed value — a batch is never torn mid-job.
-    pub fn run_batch_cancellable<T, F>(&self, jobs: Vec<F>, token: &CancelToken) -> Vec<Option<T>>
-    where
-        F: FnOnce() -> T + Send + 'static,
-        T: Send + 'static,
-    {
-        let guarded: Vec<_> = jobs
-            .into_iter()
-            .map(|f| {
-                let token = token.clone();
-                move || (!token.is_cancelled()).then(f)
-            })
-            .collect();
-        self.run_batch(guarded)
     }
 
     /// Queues the batch behind every job already submitted and blocks
@@ -536,40 +482,6 @@ mod tests {
         let observed = peak.load(Ordering::SeqCst);
         assert!(observed <= 3, "peak concurrency {observed} > 3 workers");
         assert!(pool.stats().peak_busy <= 3);
-    }
-
-    #[test]
-    fn cancel_token_skips_unstarted_jobs() {
-        // One worker makes the schedule deterministic: job 0 fires the
-        // token while running, so every job queued behind it is skipped.
-        let pool = Pool::new(1);
-        let token = CancelToken::new();
-        let mut jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> = Vec::new();
-        let t = token.clone();
-        jobs.push(Box::new(move || {
-            t.cancel();
-            1
-        }));
-        for i in 2..=5u32 {
-            jobs.push(Box::new(move || i));
-        }
-        let out = pool.run_batch_cancellable(jobs, &token);
-        assert_eq!(out[0], Some(1), "already-running job completes");
-        assert!(
-            out[1..].iter().all(Option::is_none),
-            "queued jobs must be skipped: {out:?}"
-        );
-        assert!(token.is_cancelled());
-    }
-
-    #[test]
-    fn unfired_token_leaves_batch_untouched() {
-        let pool = Pool::new(2);
-        let token = CancelToken::new();
-        let jobs: Vec<_> = (0..8u32).map(|i| move || i * i).collect();
-        let out = pool.run_batch_cancellable(jobs, &token);
-        assert_eq!(out, (0..8u32).map(|i| Some(i * i)).collect::<Vec<_>>());
-        assert!(!token.is_cancelled());
     }
 
     #[test]

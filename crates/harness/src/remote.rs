@@ -442,6 +442,10 @@ mod tests {
             with("ittage", "hist_lens", Json::from(vec![12u32, 40, 120])),
             with("ittage", "hist_lens", Json::from(vec![12u32, 40, 120, 600])),
             with("backend", "data_hot_pct", Json::from(256u64)),
+            // A hot data region as large as, or larger than, the whole
+            // data set divides by zero (or underflows) in the simulator.
+            with("backend", "data_hot_bytes", Json::from(8u64 << 20)),
+            with("backend", "data_total_bytes", Json::from(1024u64)),
             good.clone().with("fetch_width", 0u64),
             good.clone().with("ftq_entries", 0u64),
             good.clone().with("btb_latency", 3_000_000u64),

@@ -166,19 +166,6 @@ pub struct LogsPage {
     pub next_since: u64,
 }
 
-/// Counters describing the logger itself.
-#[derive(Clone, Copy, Debug)]
-pub struct LogStats {
-    /// Records accepted by the filter since process start.
-    pub records_total: u64,
-    /// Records evicted from the ring.
-    pub dropped: u64,
-    /// Records currently held.
-    pub ring_len: usize,
-    /// Ring capacity ([`RING_CAPACITY`]).
-    pub ring_capacity: usize,
-}
-
 struct Ring {
     buf: VecDeque<LogRecord>,
     dropped: u64,
@@ -219,7 +206,6 @@ pub struct Logger {
     filter: Mutex<Filter>,
     ring: Mutex<Ring>,
     seq: AtomicU64,
-    records_total: AtomicU64,
     stderr: AtomicBool,
     file: Mutex<Option<FileSink>>,
 }
@@ -233,7 +219,6 @@ impl Logger {
                 dropped: 0,
             }),
             seq: AtomicU64::new(0),
-            records_total: AtomicU64::new(0),
             stderr: AtomicBool::new(false),
             file: Mutex::new(None),
         }
@@ -298,7 +283,6 @@ impl Logger {
                 .map(|(k, v)| ((*k).to_string(), v.clone()))
                 .collect(),
         };
-        self.records_total.fetch_add(1, Ordering::Relaxed);
         let line = record.to_json().to_string();
         if self.stderr.load(Ordering::Relaxed) {
             eprintln!("{line}");
@@ -345,17 +329,6 @@ impl Logger {
             records,
             dropped: ring.dropped,
             next_since: self.seq.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The logger's own counters.
-    pub fn stats(&self) -> LogStats {
-        let ring = self.ring.lock().expect("log ring lock");
-        LogStats {
-            records_total: self.records_total.load(Ordering::Relaxed),
-            dropped: ring.dropped,
-            ring_len: ring.buf.len(),
-            ring_capacity: RING_CAPACITY,
         }
     }
 }
@@ -436,13 +409,11 @@ mod tests {
         for i in 0..(RING_CAPACITY as u64 + 50) {
             l.log(Level::Info, "t", "x", &[("i", Json::from(i))]);
         }
-        let stats = l.stats();
-        assert_eq!(stats.ring_len, RING_CAPACITY);
-        assert_eq!(stats.dropped, 50);
-        assert_eq!(stats.records_total, RING_CAPACITY as u64 + 50);
         let page = l.recent(0, None, None, usize::MAX);
         assert_eq!(page.records.len(), RING_CAPACITY);
+        assert_eq!(page.dropped, 50);
         assert_eq!(page.records.first().unwrap().seq, 51);
+        // `next_since` is the last `seq`: every record accepted.
         assert_eq!(page.next_since, RING_CAPACITY as u64 + 50);
     }
 
@@ -469,8 +440,10 @@ mod tests {
         let l = Logger::new("serve=info");
         l.log(Level::Debug, "serve", "quiet", &[]);
         l.log(Level::Info, "other", "default-level", &[]);
-        assert_eq!(l.stats().records_total, 1);
-        assert_eq!(l.recent(0, None, None, 10).records[0].msg, "default-level");
+        let page = l.recent(0, None, None, 10);
+        assert_eq!(page.records.len(), 1);
+        assert_eq!(page.records[0].msg, "default-level");
+        assert_eq!((page.dropped, page.next_since), (0, 1));
     }
 
     #[test]

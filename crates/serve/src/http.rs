@@ -6,11 +6,15 @@
 //! no chunked transfer — which keeps both ends tiny and auditable. The
 //! wire contract is specified in `docs/SERVE.md`.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Take, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use fdip_telemetry::{Json, SCHEMA_VERSION};
+
+/// Largest request head (request line plus headers) the daemon reads;
+/// a line that runs past it is refused with `413`.
+const MAX_HEAD_BYTES: u64 = 64 << 10;
 
 /// A service-level error: an HTTP status plus the machine-readable
 /// `error.code` the response body carries (`docs/SERVE.md` lists the
@@ -111,9 +115,9 @@ fn reason(status: u16) -> &'static str {
 /// Reads and parses one request from `stream`.
 ///
 /// `read_timeout` bounds how long a slow or stalled client can hold the
-/// connection; `max_body` bounds the declared body size (`413` beyond
-/// it). Any I/O or parse failure maps to a [`ServeError`] the caller
-/// writes back.
+/// connection; the head is read up to 64 KiB and `max_body` bounds the
+/// declared body size (`413` beyond either). Any I/O or parse failure
+/// maps to a [`ServeError`] the caller writes back.
 pub fn read_request(
     stream: &TcpStream,
     max_body: usize,
@@ -123,10 +127,8 @@ pub fn read_request(
         .set_read_timeout(Some(read_timeout))
         .map_err(|e| ServeError::new(500, "internal", format!("set_read_timeout: {e}")))?;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| map_io("request line", &e))?;
+    let mut head = (&mut reader).take(MAX_HEAD_BYTES);
+    let line = read_head_line(&mut head, "request line")?;
     let mut parts = line.split_whitespace();
     let (method, target) = match (parts.next(), parts.next()) {
         (Some(m), Some(p)) => (m.to_string(), p.to_string()),
@@ -151,10 +153,7 @@ pub fn read_request(
     };
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        reader
-            .read_line(&mut header)
-            .map_err(|e| map_io("headers", &e))?;
+        let header = read_head_line(&mut head, "headers")?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -190,6 +189,21 @@ pub fn read_request(
         query,
         body,
     })
+}
+
+/// Reads one line of the request head, within what is left of
+/// [`MAX_HEAD_BYTES`].
+fn read_head_line<R: BufRead>(head: &mut Take<R>, stage: &str) -> Result<String, ServeError> {
+    let mut line = String::new();
+    head.read_line(&mut line).map_err(|e| map_io(stage, &e))?;
+    if head.limit() == 0 && !line.ends_with('\n') {
+        return Err(ServeError::new(
+            413,
+            "too_large",
+            format!("request head exceeds the {MAX_HEAD_BYTES}-byte limit"),
+        ));
+    }
+    Ok(line)
 }
 
 fn map_io(stage: &str, e: &io::Error) -> ServeError {
@@ -282,6 +296,17 @@ mod tests {
     fn oversized_body_is_rejected_with_413() {
         let e = exchange("POST /v1/grid HTTP/1.1\r\nContent-Length: 9999\r\n\r\n").unwrap_err();
         assert_eq!((e.status, e.code), (413, "too_large"));
+    }
+
+    #[test]
+    fn oversized_head_is_rejected_with_413() {
+        let pad = "a".repeat(MAX_HEAD_BYTES as usize);
+        let e = exchange(&format!("GET /v1/healthz HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n")).unwrap_err();
+        assert_eq!((e.status, e.code), (413, "too_large"));
+        // A head that fits is read as before.
+        let pad = "a".repeat(MAX_HEAD_BYTES as usize - 64);
+        let req = exchange(&format!("GET /v1/healthz HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n"));
+        assert_eq!(req.unwrap().path, "/v1/healthz");
     }
 
     #[test]

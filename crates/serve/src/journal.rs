@@ -2,13 +2,10 @@
 //! per record, so a daemon killed mid-grid can resume on restart
 //! without re-simulating completed cells.
 //!
-//! Two record kinds are written (`docs/SERVE.md` §"Checkpoint journal"):
-//!
-//! * `{"op": "grid_begin", "grid_id": …, "request": {…}}` — the full
-//!   grid request, written before any cell runs, and only by a grid
-//!   that has a cell to simulate or wait on;
-//! * `{"op": "cell_done", "grid_id": …, "cell": …}` — a cell's result
-//!   has been committed to the cache.
+//! One record kind is written (`docs/SERVE.md` §"Checkpoint journal"):
+//! `{"op": "grid_begin", "grid_id": …, "request": {…}}`, the full grid
+//! request, written before any cell runs, and only by a grid that has a
+//! cell to simulate or wait on.
 //!
 //! A grid's end removes its records: the log is compacted down to the
 //! begin records of the grids still open, and truncated when none is,
@@ -16,9 +13,10 @@
 //! served. On open, the journal is replayed (grids whose begin record
 //! is unreadable drop out, as do grids closed by a
 //! `{"op": "grid_end", "grid_id": …}` record; a torn final line from a
-//! kill mid-write is skipped) and compacted the same way. Cell-level
-//! progress needs no replay bookkeeping: completed cells are found in
-//! the content-addressed cache.
+//! kill mid-write is skipped, and so are the `cell_done` records older
+//! daemons wrote) and compacted the same way. Cell-level progress needs
+//! no replay bookkeeping: completed cells are found in the
+//! content-addressed cache.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -71,11 +69,6 @@ impl Journal {
         Ok((Journal { path, file, open }, incomplete))
     }
 
-    /// Filesystem path of the log (for diagnostics).
-    pub fn path(&self) -> &PathBuf {
-        &self.path
-    }
-
     /// Records that a grid was accepted, before any of its cells run.
     ///
     /// # Errors
@@ -89,20 +82,6 @@ impl Journal {
             self.open.push((grid_id.to_string(), record));
         }
         Ok(())
-    }
-
-    /// Records that one cell's result reached the cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if the record cannot be appended.
-    pub fn cell_done(&mut self, grid_id: &str, cell: &str) -> io::Result<()> {
-        let rec = Json::obj()
-            .with("op", "cell_done")
-            .with("grid_id", grid_id)
-            .with("cell", cell);
-        writeln!(self.file, "{}", rec.to_string())?;
-        self.file.flush()
     }
 
     /// Records that a grid's response was fully assembled, by dropping
@@ -218,10 +197,8 @@ mod tests {
             let (mut j, inc) = Journal::open(path.clone()).unwrap();
             assert!(inc.is_empty());
             j.grid_begin("g1", &req("a")).unwrap();
-            j.cell_done("g1", "cell1").unwrap();
             j.grid_end("g1").unwrap();
             j.grid_begin("g2", &req("b")).unwrap();
-            j.cell_done("g2", "cell2").unwrap();
         }
         let (_, inc) = Journal::open(path.clone()).unwrap();
         assert_eq!(inc.len(), 1);
@@ -261,7 +238,6 @@ mod tests {
         let (mut j, _) = Journal::open(path.clone()).unwrap();
         for _ in 0..3 {
             j.grid_begin("g1", &req("a")).unwrap();
-            j.cell_done("g1", "cell1").unwrap();
             j.grid_begin("g2", &req("b")).unwrap();
             j.grid_end("g1").unwrap();
             assert_eq!(log().lines().count(), 1);
@@ -292,6 +268,26 @@ mod tests {
         let (_, inc) = Journal::open(path.clone()).unwrap();
         assert!(inc.is_empty());
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn cell_done_records_of_older_daemons_are_ignored() {
+        let path = temp_log("celldone");
+        std::fs::write(
+            &path,
+            "{\"op\":\"grid_begin\",\"grid_id\":\"g1\",\"request\":{}}\n\
+             {\"op\":\"cell_done\",\"grid_id\":\"g1\",\"cell\":\"c1\"}\n",
+        )
+        .unwrap();
+        let (_, inc) = Journal::open(path.clone()).unwrap();
+        assert_eq!(inc.len(), 1);
+        assert_eq!(inc[0].grid_id, "g1");
+        // Compaction keeps only the begin record.
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "{\"op\":\"grid_begin\",\"grid_id\":\"g1\",\"request\":{}}\n"
+        );
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 

@@ -42,10 +42,11 @@ use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
-use fdip_exec::{CancelToken, Pool};
+use fdip_exec::Pool;
 use fdip_harness::remote::{
     GRID_PATH, HEALTHZ_PATH, LOGS_PATH, METRICS_PATH, PROGRESS_PATH, SHUTDOWN_PATH, TELEMETRY_PATH,
 };
@@ -76,12 +77,12 @@ pub struct ServerConfig {
     pub max_inflight_grids: usize,
     /// Largest accepted request body, in bytes (413 beyond it).
     pub max_body_bytes: usize,
-    /// Wall-clock budget for one grid; beyond it the grid's remaining
-    /// cells are cancelled and the client gets `408 timeout`.
+    /// Wall-clock budget for one grid; a cell that would start beyond it
+    /// is skipped and the client gets `408 timeout`.
     pub grid_timeout_ms: u64,
     /// Fault injection for the resume tests: after this many cells have
-    /// been simulated (daemon-wide), stop cold — cancel every in-flight
-    /// grid and refuse new work — leaving the journal mid-grid.
+    /// been simulated (daemon-wide), stop cold — skip every cell not yet
+    /// started and refuse new work — leaving the journal mid-grid.
     pub crash_after_cells: Option<u64>,
     /// When set, each grid's lifecycle spans are written there as a
     /// Chrome `trace_event` JSON file (`grid-<id>.json`).
@@ -121,7 +122,7 @@ pub(crate) enum SlotState {
     Running,
     /// The cell's result reached the cache.
     Done,
-    /// The owning grid was cancelled before (or while) committing it.
+    /// The owning grid skipped the cell or failed to cache it.
     Failed,
 }
 
@@ -151,7 +152,9 @@ pub(crate) struct Shared {
     pub(crate) slots_cv: Condvar,
     pub(crate) progress: Mutex<BTreeMap<String, GridProgress>>,
     pub(crate) suites: Mutex<BTreeMap<String, Arc<Vec<BuiltWorkload>>>>,
-    pub(crate) tokens: Mutex<BTreeMap<String, CancelToken>>,
+    /// Set once by [`Shared::interrupt_all`]; every cell job that has not
+    /// started yet skips its cell.
+    pub(crate) interrupted: AtomicBool,
 }
 
 impl Shared {
@@ -178,19 +181,18 @@ impl Shared {
     }
 
     /// The injected-crash path: like a kill, but in-process — every
-    /// in-flight grid's remaining cells are cancelled (cells already on
-    /// a worker finish and commit) and the daemon refuses further work.
-    /// The journal keeps the interrupted grids' begin records, which is
-    /// exactly what restart-resume consumes.
+    /// in-flight grid's cells not yet started are skipped (cells already
+    /// on a worker finish and commit) and the daemon refuses further
+    /// work. The journal keeps the interrupted grids' begin records,
+    /// which is exactly what restart-resume consumes.
     pub(crate) fn interrupt_all(&self) {
         {
             let mut gate = self.gate.lock().expect("gate lock");
             gate.draining = true;
         }
         self.gate_cv.notify_all();
-        for token in self.tokens.lock().expect("token lock").values() {
-            token.cancel();
-        }
+        // Release pairs with the Acquire load each cell job makes first.
+        self.interrupted.store(true, Ordering::Release);
         // Take the accept loop down too — an interrupted daemon drains
         // and exits like a killed one, once in-flight handlers return.
         #[expect(
@@ -242,7 +244,7 @@ impl Server {
             slots_cv: Condvar::new(),
             progress: Mutex::new(BTreeMap::new()),
             suites: Mutex::new(BTreeMap::new()),
-            tokens: Mutex::new(BTreeMap::new()),
+            interrupted: AtomicBool::new(false),
         });
 
         log::info(

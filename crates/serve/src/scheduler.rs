@@ -1,6 +1,6 @@
 //! Grid execution: validation, admission control, cell classification
-//! (cache hit / coalesce / simulate), cancellable batch execution with
-//! a per-grid watchdog, checkpointing, and response assembly.
+//! (cache hit / coalesce / simulate), batch execution under the grid's
+//! wall-clock budget, checkpointing, and response assembly.
 //!
 //! Every cell takes exactly one of three paths:
 //!
@@ -8,8 +8,8 @@
 //! * **coalesced** — another in-flight grid owns the same key, so this
 //!   grid waits on that simulation instead of duplicating it;
 //! * **simulated** — this grid owns the key: the cell runs through the
-//!   same [`fdip_sim::run_workload_job`] the local `Runner` uses, the
-//!   result is committed to the cache, and `cell_done` is journaled.
+//!   same [`fdip_sim::run_workload_job`] the local `Runner` uses, and the
+//!   result is committed to the cache.
 //!
 //! A cell is a hit only when the cache holds a verified entry for it
 //! (`cache.rs`); a damaged or foreign entry re-simulates. The response
@@ -19,15 +19,13 @@
 //! all serve the identical bytes.
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, PoisonError};
 
-use fdip_exec::CancelToken;
 use fdip_harness::remote::{
     cell_key, config_from_json, config_hash, config_to_json, fnv1a64, workload_hash,
 };
+use fdip_obs::clock::Timer;
 use fdip_obs::log;
 use fdip_obs::span::{SpanRecorder, Track};
 use fdip_sim::{run_workload_job, CoreConfig};
@@ -206,7 +204,7 @@ pub(crate) fn handle_grid(
         return Err(ServeError::new(
             503,
             "interrupted",
-            "a coalesced cell's owning grid was cancelled before it completed",
+            "a coalesced cell's owning grid failed before caching it",
         ));
     }
 
@@ -440,10 +438,34 @@ fn claim(shared: &Shared, cells: &mut [Cell]) {
     }
 }
 
-/// Runs this grid's `Own` cells as one cancellable pool batch, guarded
-/// by a watchdog that cancels the batch when the grid's wall-clock
-/// budget runs out. Commits each result to the cache and journal as it
-/// lands.
+/// Resolves one owned cell's slot when its pool job ends, however it
+/// ends: `Done` once the job marks its committed cache entry, `Failed`
+/// when the job skipped the cell, failed to commit it or unwound, so no
+/// coalesced waiter blocks on a slot left `Running`.
+struct SlotGuard<'a> {
+    shared: &'a Shared,
+    key: &'a str,
+    state: SlotState,
+}
+
+impl Drop for SlotGuard<'_> {
+    fn drop(&mut self) {
+        // Also runs while a panicking simulation unwinds, so a poisoned
+        // lock is recovered rather than panicked on.
+        self.shared
+            .slots
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(self.key.to_string(), self.state);
+        self.shared.slots_cv.notify_all();
+    }
+}
+
+/// Runs this grid's `Own` cells as one pool batch, committing each
+/// result to the cache as it lands. Each job decides its cell's fate as
+/// it starts: once the daemon is interrupted or the grid's wall-clock
+/// budget has run out, it skips the cell; a cell already simulating
+/// finishes and is cached.
 fn run_owned(
     shared: &Arc<Shared>,
     grid: &ValidGrid,
@@ -456,12 +478,8 @@ fn run_owned(
     if own.is_empty() {
         return Ok(());
     }
-    let token = CancelToken::new();
-    shared
-        .tokens
-        .lock()
-        .expect("token lock")
-        .insert(grid_id.to_string(), token.clone());
+    let budget = Timer::start();
+    let budget_us = shared.config.grid_timeout_ms.saturating_mul(1000);
 
     let mut jobs = Vec::with_capacity(own.len());
     for cell in &own {
@@ -476,10 +494,20 @@ fn run_owned(
         let (warmup, measure) = (grid.warmup, grid.measure);
         let recorder = recorder.map(Arc::clone);
         let config_index = cell.config;
+        let budget = budget.clone();
         jobs.push(move || {
+            let mut slot = SlotGuard {
+                shared: &shared,
+                key: &key,
+                state: SlotState::Failed,
+            };
+            // Acquire pairs with the Release store in `interrupt_all`.
+            if shared.interrupted.load(Ordering::Acquire) || budget.elapsed_micros() >= budget_us {
+                return false;
+            }
             shared.telemetry.on_cell_sim_flight(1.0);
             let sim_start = recorder.as_ref().map(|r| r.now_us());
-            let sim_timer = fdip_obs::clock::Timer::start();
+            let sim_timer = Timer::start();
             let (stats, dists) = run_workload_job(cfg.clone(), program, warmup, measure);
             let sim_micros = sim_timer.elapsed_micros();
             if let Some(r) = &recorder {
@@ -507,24 +535,7 @@ fn run_owned(
                 .put(&key, &meta, &stats.to_json(), &dists.to_json())
                 .is_ok();
             if committed {
-                // The cell is already in the cache, which resume reads
-                // first, so a lost record loses no work.
-                let done = shared
-                    .journal
-                    .lock()
-                    .expect("journal lock")
-                    .cell_done(&grid_id, &key);
-                if let Err(e) = done {
-                    log::warn(
-                        "serve",
-                        "journal append failed",
-                        &[
-                            ("grid_id", grid_id.as_str().into()),
-                            ("cell", key.as_str().into()),
-                            ("error", e.to_string().as_str().into()),
-                        ],
-                    );
-                }
+                slot.state = SlotState::Done;
             }
             let simulated = shared.telemetry.on_cell_simulated(sim_micros);
             if shared
@@ -542,65 +553,13 @@ fn run_owned(
             {
                 p.completed_cells += 1;
             }
-            set_slot(
-                &shared,
-                &key,
-                if committed {
-                    SlotState::Done
-                } else {
-                    SlotState::Failed
-                },
-            );
             committed
         });
     }
-
-    // Watchdog: one thread parks on a channel for the grid's budget; a
-    // completed batch rings it awake, a timeout cancels the batch.
-    let (done_tx, done_rx) = mpsc::channel::<()>();
-    let timed_out = Arc::new(AtomicBool::new(false));
-    let watchdog = {
-        let token = token.clone();
-        let timed_out = Arc::clone(&timed_out);
-        let budget = Duration::from_millis(shared.config.grid_timeout_ms);
-        std::thread::spawn(move || {
-            if done_rx.recv_timeout(budget).is_err() {
-                timed_out.store(true, Ordering::Release);
-                token.cancel();
-            }
-        })
-    };
-    let results = shared.pool().run_batch_cancellable(jobs, &token);
-    #[expect(
-        clippy::let_underscore_must_use,
-        reason = "watchdog done signal; Err means the watchdog already exited on cancellation"
-    )]
-    let _ = done_tx.send(());
-    #[expect(
-        clippy::let_underscore_must_use,
-        reason = "watchdog teardown join; a watchdog panic would have cancelled the token \
-                  it exists to cancel"
-    )]
-    let _ = watchdog.join();
-    shared.tokens.lock().expect("token lock").remove(grid_id);
-
-    // Cells the cancellation skipped never ran their closure, so their
-    // slots are still Running: fail them so coalesced waiters unblock.
-    let mut ok = true;
-    for (cell, result) in own.iter().zip(&results) {
-        match result {
-            Some(true) => {}
-            Some(false) => ok = false,
-            None => {
-                ok = false;
-                set_slot(shared, &cell.key, SlotState::Failed);
-            }
-        }
-    }
-    if ok {
+    if shared.pool().run_batch(jobs).into_iter().all(|c| c) {
         return Ok(());
     }
-    if timed_out.load(Ordering::Acquire) {
+    if budget.elapsed_micros() >= budget_us {
         Err(ServeError::new(
             408,
             "timeout",
@@ -614,23 +573,14 @@ fn run_owned(
         Err(ServeError::new(
             503,
             "interrupted",
-            "the grid was cancelled mid-flight (drain or injected crash); completed \
-             cells are cached and journaled for resume",
+            "the grid stopped before every cell was cached (injected crash or a failed \
+             cell); completed cells are cached and the grid stays journaled for resume",
         ))
     }
 }
 
-fn set_slot(shared: &Shared, key: &str, state: SlotState) {
-    shared
-        .slots
-        .lock()
-        .expect("slot lock")
-        .insert(key.to_string(), state);
-    shared.slots_cv.notify_all();
-}
-
 /// Blocks until every coalesced cell's owning grid resolves its slot.
-/// Returns `false` if any owner failed (cancelled before commit).
+/// Returns `false` if any owner failed to cache its cell.
 fn wait_coalesced(shared: &Shared, cells: &[Cell]) -> bool {
     let mut ok = true;
     let mut slots = shared.slots.lock().expect("slot lock");
@@ -738,4 +688,68 @@ fn assemble(
          \"simulated\":{simulated},\"coalesced\":{coalesced}}}}}"
     );
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use super::*;
+    use crate::{Server, ServerConfig};
+
+    /// A simulation that panics inside its pool job: before the slot
+    /// guard, the cell's slot stayed `Running`, and a grid coalesced onto
+    /// it waited forever (as did the drain behind that grid).
+    #[test]
+    fn a_panicking_cell_fails_its_slot_and_frees_coalesced_waiters() {
+        let dir =
+            std::env::temp_dir().join(format!("fdip-serve-slot-guard-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut config = ServerConfig::new(dir.clone());
+        config.jobs = Some(1);
+        let server = Server::spawn(config).expect("server spawns");
+        let shared = Arc::clone(&server.shared);
+
+        // A hot data region as large as the whole data set divides by
+        // zero in the data-address generator. The decoder refuses it
+        // now, so the grid is built here, past validation.
+        let mut cfg = CoreConfig::fdp();
+        cfg.backend.data_hot_bytes = cfg.backend.data_total_bytes;
+        cfg.func_warmup = 0;
+        let grid = ValidGrid {
+            client: "t".to_string(),
+            suite: "quick".to_string(),
+            warmup: 0,
+            measure: 2_000,
+            cfg_hashes: vec![config_hash(&cfg)],
+            cfgs: vec![cfg],
+        };
+        let suite = suite_programs(&shared, &grid.suite);
+        let mut cells = lookup(&shared, &grid, &suite);
+        cells.truncate(1);
+        claim(&shared, &mut cells);
+        assert_eq!(cells[0].plan, Plan::Own);
+
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            run_owned(&shared, &grid, &suite, "g", &cells, None)
+        }));
+        assert!(unwound.is_err(), "the cell's panic reaches the grid");
+        // Checked first: a waiter on a slot left `Running` would block.
+        assert_eq!(
+            shared.slots.lock().expect("slot lock").get(&cells[0].key),
+            Some(&SlotState::Failed)
+        );
+        // A second grid coalesced onto the key learns its owner failed.
+        let waiter = [Cell {
+            key: cells[0].key.clone(),
+            config: 0,
+            workload: 0,
+            plan: Plan::Coalesce,
+            entry: None,
+        }];
+        assert!(!wait_coalesced(&shared, &waiter));
+
+        server.stop();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -86,7 +86,7 @@ impl ServeTelemetry {
             ),
             grids_interrupted: r.counter(
                 "fdip_serve_grids_interrupted_total",
-                "Grids cut short by a timeout, drain, or injected crash",
+                "Grids cut short by a timeout, an injected crash, or a coalesced owner's failure",
             ),
             rejected_busy: r.counter_with(
                 "fdip_serve_grids_rejected_total",
@@ -199,7 +199,8 @@ impl ServeTelemetry {
         self.grids_completed.inc();
     }
 
-    /// Counts a grid cut short by a timeout, drain, or injected crash.
+    /// Counts a grid cut short by a timeout, an injected crash, or a
+    /// coalesced owner's failure.
     pub fn on_grid_interrupted(&self) {
         self.grids_interrupted.inc();
     }
@@ -267,11 +268,6 @@ impl ServeTelemetry {
     pub fn on_cell_simulated(&self, micros: u64) -> u64 {
         self.cell_sim_duration.observe(micros);
         self.cells_simulated.inc()
-    }
-
-    /// Total cells simulated so far.
-    pub fn cells_simulated(&self) -> u64 {
-        self.cells_simulated.get()
     }
 
     /// Mirrors the worker pool's lifetime stats into the registry (the
@@ -392,7 +388,6 @@ mod tests {
         t.on_journal_replay();
         assert_eq!(t.on_cell_simulated(50), 1);
         assert_eq!(t.on_cell_simulated(70), 2);
-        assert_eq!(t.cells_simulated(), 2);
     }
 
     #[test]

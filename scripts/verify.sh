@@ -132,18 +132,22 @@ for trace in "$tmp"/serve-traces/grid-*.json; do
   cargo run -q --release --offline --example check_trace -- "$trace" > /dev/null
 done
 grep -q '"msg":"daemon started"' "$tmp/serve-file.log"
-./target/release/fdip-serve ctl "$addr" shutdown > /dev/null
-# A daemon that never drains fails the gate instead of hanging it.
-for _ in $(seq 1 600); do
-  kill -0 "$serve_pid" 2> /dev/null || break
-  sleep 0.1
-done
-if kill -0 "$serve_pid" 2> /dev/null; then
-  echo "fdip-serve did not drain within 60 s of ctl shutdown" >&2
-  kill "$serve_pid"
-  exit 1
-fi
-wait "$serve_pid"
+# Shuts the daemon at $1 (pid $2) down. A daemon that never drains fails
+# the gate instead of hanging it.
+shutdown_drained() {
+  ./target/release/fdip-serve ctl "$1" shutdown > /dev/null
+  for _ in $(seq 1 600); do
+    kill -0 "$2" 2> /dev/null || break
+    sleep 0.1
+  done
+  if kill -0 "$2" 2> /dev/null; then
+    echo "fdip-serve did not drain within 60 s of ctl shutdown" >&2
+    kill "$2"
+    exit 1
+  fi
+  wait "$2"
+}
+shutdown_drained "$addr" "$serve_pid"
 test -f "$tmp/serve-state/journal.log"
 if [ -s "$tmp/serve-state/journal.log" ]; then
   echo "journal.log is not empty after the daemon drained" >&2
@@ -151,6 +155,32 @@ if [ -s "$tmp/serve-state/journal.log" ]; then
 fi
 echo "    served results byte-identical to local; edited entry re-simulated;"
 echo "    obs surfaces live; daemon drained with an empty journal"
+
+echo "==> serve budget smoke: a zero grid budget answers 408, the client falls back"
+# A daemon on a fresh state dir with a zero per-grid budget skips every
+# cell and answers each grid 408 timeout. The stock client then runs the
+# sweep locally (docs/SERVE.md "Error responses"), so the stripped
+# results must still equal the local run, and the scrape must count the
+# timed-out grid. The journal keeps timed-out grids for resume, so it is
+# not required to be empty; the drain is.
+./target/release/fdip-serve --addr 127.0.0.1:0 --state-dir "$tmp/budget-state" \
+  --jobs 1 --grid-timeout-ms 0 --port-file "$tmp/budget.addr" \
+  > "$tmp/budget.log" 2>&1 &
+budget_pid=$!
+for _ in $(seq 1 100); do
+  [ -s "$tmp/budget.addr" ] && break
+  sleep 0.1
+done
+addr="$(cat "$tmp/budget.addr")"
+served_pass budget
+interrupted="$(./target/release/fdip-serve ctl "$addr" metrics \
+  | awk '$1 == "fdip_serve_grids_interrupted_total" { print $2 }')"
+if [ "${interrupted:-0}" -lt 1 ]; then
+  echo "zero-budget daemon counted ${interrupted:-no} interrupted grids, want >= 1" >&2
+  exit 1
+fi
+shutdown_drained "$addr" "$budget_pid"
+echo "    408 fell back to local with identical results; daemon drained"
 
 echo "==> fuzz smoke: differential invariants, report determinism, injection"
 # The fuzz gate (docs/FUZZ.md): a fixed-seed campaign must pass every

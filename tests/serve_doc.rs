@@ -164,13 +164,12 @@ fn every_wire_key_is_documented() {
     );
 
     // Journal records. The grid above ended, which emptied the daemon's
-    // log, so write both record kinds through a second journal.
+    // log, so write the one record kind through a second journal.
     let journal_path = dir.join("doc-journal.log");
     let (mut journal, _) = Journal::open(journal_path.clone()).expect("journal opens");
     journal.grid_begin("g", &request).unwrap();
-    journal.cell_done("g", key).unwrap();
     let records = std::fs::read_to_string(&journal_path).unwrap();
-    assert_eq!(records.lines().count(), 2, "{records}");
+    assert_eq!(records.lines().count(), 1, "{records}");
     for line in records.lines() {
         assert_documented(&Json::parse(line).expect("record parses"), "journal record");
     }
@@ -238,13 +237,15 @@ fn documented_error_codes_behave_as_written() {
     assert!(support::doc("SERVE.md").contains(&format!("deeper than {} levels", Json::MAX_DEPTH)));
 
     // 400 bad_request on configs the simulator cannot build: a BTB with
-    // no ways and a TAGE fold wider than 31 bits once panicked inside the
-    // daemon (no reply, and a drain that never finished), and 2^32 + 9
-    // was truncated to TAGE size 9 and answered 200.
+    // no ways, a TAGE fold wider than 31 bits and a data hot region as
+    // large as the whole data set (8 MiB) once panicked inside the daemon
+    // (no reply, and a drain that never finished), and 2^32 + 9 was
+    // truncated to TAGE size 9 and answered 200.
     for (group, key, value) in [
         ("btb", "assoc", 0u64),
         ("direction", "entries_log2", 40),
         ("direction", "entries_log2", 4_294_967_305),
+        ("backend", "data_hot_bytes", 8 << 20),
     ] {
         let mut cfg = config_to_json(&CoreConfig::fdp());
         let mut inner = cfg.get(group).cloned().unwrap();
@@ -274,6 +275,33 @@ fn documented_error_codes_behave_as_written() {
         assert!(reply.contains("\"bad_request\""), "{key}: {value}: {reply}");
     }
     assert!(support::doc("SERVE.md").contains("outside the documented range"));
+
+    // 413 too_large on a request head past the 64 KiB limit: a 1 MiB
+    // header line. The daemon answers once the limit is read, not after
+    // the whole line arrives; it then closes with the rest unread, so the
+    // peer may see a reset after the reply.
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let sender = std::thread::spawn(move || {
+        let head = format!(
+            "GET {HEALTHZ_PATH} HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+            "a".repeat(1 << 20)
+        );
+        writer.write_all(head.as_bytes()).ok();
+    });
+    let mut reply = Vec::new();
+    stream.read_to_end(&mut reply).ok();
+    let reply = String::from_utf8_lossy(&reply);
+    assert!(reply.starts_with("HTTP/1.1 413 "), "{reply}");
+    assert!(reply.contains("\"too_large\""), "{reply}");
+    drop(stream);
+    sender.join().unwrap();
+    let (status, _) = http_json_request(&addr, "GET", HEALTHZ_PATH, None).unwrap();
+    assert_eq!(status, 200);
+    assert!(support::doc("SERVE.md").contains("64 KiB"));
 
     // Then the daemon drains on shutdown, within a deadline, and leaves
     // an empty journal.

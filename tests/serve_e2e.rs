@@ -6,6 +6,8 @@
 //!   byte-identical results that match a direct local run;
 //! * a daemon killed mid-grid resumes from its checkpoint journal
 //!   without re-simulating the cells that already reached the cache;
+//! * a grid that outlives its wall-clock budget gets `408 timeout`, and
+//!   a later daemon finishes it from the journal and the cache;
 //! * a journaled grid that no longer passes validation is closed on
 //!   replay instead of being replayed on every restart.
 
@@ -196,6 +198,58 @@ fn killed_daemon_resumes_from_journal_without_resimulating() {
     );
 
     // The served results still match a direct local run exactly.
+    let local = Runner::quick(WARMUP, MEASURE).run_configs_detailed(&cfgs);
+    assert_eq!(stripped_cells(&response), strip_local(&local));
+
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn grid_over_its_budget_times_out_and_a_resubmission_finishes_it() {
+    let dir = state_dir("budget");
+    let cfgs = [CoreConfig::no_fdp(), CoreConfig::fdp()];
+    let request = grid_request("e2e", "quick", WARMUP, MEASURE, &cfgs);
+
+    // Phase 1: a zero budget runs out before the grid's six cells do.
+    let mut config = ServerConfig::new(dir.clone());
+    config.jobs = Some(1);
+    config.grid_timeout_ms = 0;
+    let server = Server::spawn(config).expect("server spawns");
+    let addr = server.addr().to_string();
+    let (status, body) = http_json_request(&addr, "POST", GRID_PATH, Some(&request)).unwrap();
+    assert_eq!(status, 408, "{body:?}");
+    let code = body
+        .get("error")
+        .and_then(|e| e.get("code"))
+        .and_then(Json::as_str);
+    assert_eq!(code, Some("timeout"), "{body:?}");
+    server.stop();
+
+    // Some cells never ran, and the journal keeps the grid for resume.
+    let cached = cache_entries(&dir) as u64;
+    assert!(cached < 6, "all {cached} cells ran despite the zero budget");
+    let journal = std::fs::read_to_string(dir.join("journal.log")).expect("journal");
+    assert!(journal.contains("grid_begin"), "{journal}");
+
+    // Phase 2: a daemon with the default budget on the same state dir
+    // finishes the grid, simulating only the cells phase 1 left out.
+    let mut config = ServerConfig::new(dir.clone());
+    config.jobs = Some(1);
+    let server = Server::spawn(config).expect("server respawns");
+    let addr = server.addr().to_string();
+    let (status, response) = http_json_request(&addr, "POST", GRID_PATH, Some(&request)).unwrap();
+    assert_eq!(status, 200, "{response:?}");
+    let (status, telemetry) = http_json_request(&addr, "GET", TELEMETRY_PATH, None).unwrap();
+    assert_eq!(status, 200);
+    let simulated = telemetry
+        .get("serve")
+        .and_then(|s| s.get("cells"))
+        .and_then(|c| c.get("simulated"))
+        .and_then(Json::as_u64)
+        .expect("serve.cells.simulated");
+    assert_eq!(simulated, 6 - cached, "{telemetry:?}");
+
     let local = Runner::quick(WARMUP, MEASURE).run_configs_detailed(&cfgs);
     assert_eq!(stripped_cells(&response), strip_local(&local));
 
