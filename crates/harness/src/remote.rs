@@ -240,34 +240,14 @@ impl RemoteClient {
         cfgs: &[CoreConfig],
         workloads: usize,
     ) -> io::Result<Vec<Vec<(SimStats, SimDists)>>> {
-        // Client-side scrape surface: the process-wide registry, since a
-        // client outlives any single daemon connection.
-        let submitted = |outcome: &str| {
-            fdip_obs::metrics::global()
-                .counter_with(
-                    "fdip_client_grid_requests_total",
-                    "Grid submissions sent by this process, by HTTP-level outcome",
-                    &[("outcome", outcome)],
-                )
-                .inc();
-        };
         let request = grid_request(&self.client, suite, warmup, measure, cfgs);
-        let (status, body) = match http_json_request(&self.addr, "POST", GRID_PATH, Some(&request))
-        {
-            Ok(reply) => reply,
-            Err(e) => {
-                submitted("io_error");
-                return Err(e);
-            }
-        };
+        let (status, body) = http_json_request(&self.addr, "POST", GRID_PATH, Some(&request))?;
         if status != 200 {
-            submitted("http_error");
             return Err(io::Error::other(format!(
                 "grid request failed: HTTP {status} ({})",
                 error_code(&body)
             )));
         }
-        submitted("ok");
         let cells = body
             .get("cells")
             .and_then(Json::as_arr)
@@ -279,12 +259,6 @@ impl RemoteClient {
                 cells.len()
             )));
         }
-        fdip_obs::metrics::global()
-            .counter(
-                "fdip_client_cells_received_total",
-                "Grid cells received by this process from fdip-serve daemons",
-            )
-            .add(cells.len() as u64);
         fdip_obs::log::debug(
             "harness",
             "grid served",

@@ -152,12 +152,6 @@ impl Runner {
             Ok(grid) => Some(grid),
             Err(e) => {
                 if !self.remote_failed.swap(true, Ordering::AcqRel) {
-                    fdip_obs::metrics::global()
-                        .counter(
-                            "fdip_client_fallbacks_total",
-                            "Sweeps that fell back to local execution after a daemon error",
-                        )
-                        .inc();
                     fdip_obs::log::warn(
                         "harness",
                         "fdip-serve unavailable; falling back to local execution",

@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use fdip_telemetry::Histogram;
 
@@ -152,8 +152,7 @@ struct Family {
     samples: BTreeMap<String, (Vec<(String, String)>, Cell)>,
 }
 
-/// A set of metric families; one per daemon (plus [`global`] for
-/// client-side code with no daemon attached).
+/// A set of metric families; each daemon owns one.
 #[derive(Default)]
 pub struct Registry {
     families: Mutex<BTreeMap<String, Family>>,
@@ -393,16 +392,6 @@ fn render_histogram(out: &mut String, name: &str, labels: &[(String, String)], h
         labels,
         &h.count().to_string(),
     ));
-}
-
-static GLOBAL: OnceLock<Registry> = OnceLock::new();
-
-/// The process-wide registry for code that has no daemon-owned
-/// registry in reach (the harness's remote client). Daemons own their
-/// own [`Registry`] so tests hosting several servers in one process
-/// do not cross-contaminate scrapes.
-pub fn global() -> &'static Registry {
-    GLOBAL.get_or_init(Registry::new)
 }
 
 #[cfg(test)]

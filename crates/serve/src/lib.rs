@@ -269,7 +269,7 @@ impl Server {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
                 for inc in incomplete {
-                    shared.telemetry.on_journal_replay();
+                    shared.telemetry.counters.journal_replays.inc();
                     log::info(
                         "serve",
                         "resuming journaled grid",
@@ -393,7 +393,7 @@ impl Drop for ConnectionGuard {
 }
 
 fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
-    shared.telemetry.on_request();
+    shared.telemetry.counters.requests.inc();
     let timer = Timer::start();
     let request = read_request(&stream, shared.config.max_body_bytes, READ_TIMEOUT);
     let route = request

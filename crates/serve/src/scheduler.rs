@@ -19,6 +19,7 @@
 //! all serve the identical bytes.
 
 use std::fmt::Write as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
 
@@ -34,6 +35,11 @@ use fdip_telemetry::{Json, ToJson, SCHEMA_VERSION};
 use crate::cache::Entry;
 use crate::http::ServeError;
 use crate::{BuiltWorkload, GridProgress, Shared, SlotState};
+
+/// Longest `client` name a grid may carry. The daemon keeps each name
+/// until it restarts: in three registry label sets, every scrape and
+/// Document 6.
+const MAX_CLIENT_BYTES: usize = 64;
 
 /// How a grid position resolves against the cache and the in-flight
 /// coalescing map.
@@ -77,7 +83,7 @@ impl Drop for InflightGuard<'_> {
             gate.inflight_grids -= 1;
             gate.inflight_grids
         };
-        self.0.telemetry.on_grid_done(remaining as u64);
+        self.0.telemetry.inflight_grids.set(remaining as f64);
         self.0.gate_cv.notify_all();
     }
 }
@@ -233,7 +239,7 @@ pub(crate) fn handle_grid(
         p.state = "done";
         p.completed_cells = total;
     }
-    shared.telemetry.on_grid_completed();
+    shared.telemetry.counters.grids_completed.inc();
     shared
         .telemetry
         .on_cells_served(&grid.client, total, hits, coalesced);
@@ -273,6 +279,12 @@ fn validate(body: &Json) -> Result<ValidGrid, ServeError> {
         .and_then(Json::as_str)
         .ok_or_else(|| ServeError::bad_request("missing client"))?
         .to_string();
+    let name_byte = |b: u8| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-');
+    if !(1..=MAX_CLIENT_BYTES).contains(&client.len()) || !client.bytes().all(name_byte) {
+        return Err(ServeError::bad_request(format!(
+            "client must be 1-{MAX_CLIENT_BYTES} bytes of ASCII letters, digits, '.', '_' and '-'"
+        )));
+    }
     let suite = body
         .get("suite")
         .and_then(Json::as_str)
@@ -321,7 +333,7 @@ fn validate(body: &Json) -> Result<ValidGrid, ServeError> {
 fn admit(shared: &Shared, resumed: bool) -> Result<(), ServeError> {
     let mut gate = shared.gate.lock().expect("gate lock");
     if gate.draining {
-        shared.telemetry.on_grid_rejected(false);
+        shared.telemetry.counters.rejected_draining.inc();
         return Err(ServeError::new(
             503,
             "draining",
@@ -329,7 +341,7 @@ fn admit(shared: &Shared, resumed: bool) -> Result<(), ServeError> {
         ));
     }
     if !resumed && gate.inflight_grids >= shared.config.max_inflight_grids {
-        shared.telemetry.on_grid_rejected(true);
+        shared.telemetry.counters.rejected_busy.inc();
         return Err(ServeError::new(
             429,
             "busy",
@@ -505,7 +517,7 @@ fn run_owned(
             if shared.interrupted.load(Ordering::Acquire) || budget.elapsed_micros() >= budget_us {
                 return false;
             }
-            shared.telemetry.on_cell_sim_flight(1.0);
+            shared.telemetry.inflight_cells.add(1.0);
             let sim_start = recorder.as_ref().map(|r| r.now_us());
             let sim_timer = Timer::start();
             let (stats, dists) = run_workload_job(cfg.clone(), program, warmup, measure);
@@ -520,7 +532,7 @@ fn run_owned(
                         .with("config_index", config_index as u64),
                 );
             }
-            shared.telemetry.on_cell_sim_flight(-1.0);
+            shared.telemetry.inflight_cells.add(-1.0);
             let meta = Json::obj()
                 .with("schema_version", SCHEMA_VERSION)
                 .with("config_hash", format!("{cfg_hash:016x}"))
@@ -556,7 +568,16 @@ fn run_owned(
             committed
         });
     }
-    if shared.pool().run_batch(jobs).into_iter().all(|c| c) {
+    // A panicking job re-raises here, after the batch's other cells
+    // have run and been cached.
+    let Ok(committed) = catch_unwind(AssertUnwindSafe(|| shared.pool().run_batch(jobs))) else {
+        return Err(ServeError::new(
+            500,
+            "internal",
+            "a cell's simulation panicked; the grid's other cells are cached",
+        ));
+    };
+    if committed.into_iter().all(|c| c) {
         return Ok(());
     }
     if budget.elapsed_micros() >= budget_us {
@@ -607,7 +628,7 @@ fn finish_interrupted(shared: &Shared, grid_id: &str, recorder: Option<&Arc<Span
     {
         p.state = "interrupted";
     }
-    shared.telemetry.on_grid_interrupted();
+    shared.telemetry.counters.grids_interrupted.inc();
     log::warn("serve", "grid interrupted", &[("grid_id", grid_id.into())]);
     if let Some(r) = recorder {
         r.instant(
@@ -692,14 +713,30 @@ fn assemble(
 
 #[cfg(test)]
 mod tests {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
     use super::*;
     use crate::{Server, ServerConfig};
 
+    #[test]
+    fn client_names_are_bounded() {
+        let check = |client: &str| {
+            let cfgs = [CoreConfig::fdp()];
+            validate(&fdip_harness::remote::grid_request(
+                client, "quick", 500, 2_000, &cfgs,
+            ))
+        };
+        for good in ["fdip-benchmark", "e2e.v1_a", &"x".repeat(64)] {
+            assert!(check(good).is_ok(), "{good:?} is refused");
+        }
+        for bad in ["", "a b", "a\"q", "zed\\x", &"x".repeat(65)] {
+            let err = check(bad).err().expect("a bad name is accepted");
+            assert_eq!((err.status, err.code), (400, "bad_request"), "{bad:?}");
+        }
+    }
+
     /// A simulation that panics inside its pool job: before the slot
     /// guard, the cell's slot stayed `Running`, and a grid coalesced onto
-    /// it waited forever (as did the drain behind that grid).
+    /// it waited forever (as did the drain behind that grid). The grid
+    /// itself fails with a 500 rather than unwinding its connection.
     #[test]
     fn a_panicking_cell_fails_its_slot_and_frees_coalesced_waiters() {
         let dir =
@@ -730,10 +767,9 @@ mod tests {
         claim(&shared, &mut cells);
         assert_eq!(cells[0].plan, Plan::Own);
 
-        let unwound = catch_unwind(AssertUnwindSafe(|| {
-            run_owned(&shared, &grid, &suite, "g", &cells, None)
-        }));
-        assert!(unwound.is_err(), "the cell's panic reaches the grid");
+        let err = run_owned(&shared, &grid, &suite, "g", &cells, None)
+            .expect_err("the cell's panic fails the grid");
+        assert_eq!((err.status, err.code), (500, "internal"));
         // Checked first: a waiter on a slot left `Running` would block.
         assert_eq!(
             shared.slots.lock().expect("slot lock").get(&cells[0].key),

@@ -2,27 +2,110 @@
 //! (**Document 6** of `docs/METRICS.md`) and `GET /v1/metrics`
 //! (Prometheus text exposition, `docs/OBSERVABILITY.md`).
 //!
-//! Both surfaces are views over **one** [`fdip_obs::metrics::Registry`]:
-//! every Document 6 value is read back from the same counter cell a
-//! scrape samples, so the two cannot drift — a regression test compares
-//! them field by field. Wall-clock reads (start time, uptime) go
-//! through `fdip_obs::clock`, the observability plane's one clock
-//! module.
+//! Both surfaces are views over **one** [`fdip_obs::metrics::Registry`].
+//! Each serve counter is one entry of the `serve_counters!` list below,
+//! which gives its family, help text and Document 6 key. Document 6
+//! walks that list and reads `clients` from the three `client`-labelled
+//! families, so it shows the very cells a scrape samples. Wall-clock
+//! reads (start time, uptime) go through `fdip_obs::clock`, the
+//! observability plane's one clock module.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use fdip_exec::PoolStats;
 use fdip_obs::clock::{unix_now_secs, Timer};
-use fdip_obs::metrics::{Counter, Gauge, HistogramHandle, Registry};
+use fdip_obs::metrics::{Counter, Gauge, HistogramHandle, Registry, SampleValue};
 use fdip_telemetry::{Json, ToJson, SCHEMA_VERSION};
 
-/// Per-client counter handles (and the iteration order for the
-/// Document 6 `clients` array).
-struct ClientCells {
-    requests: Counter,
-    cells: Counter,
-    cache_hits: Counter,
+/// Declares every serve counter once. An entry is the handle's field,
+/// its registry family (then `{"label" = "value"}` for one sample of a
+/// labelled family), its help text and, when Document 6 carries it,
+/// `=> "key"` or `=> "group" / "key"` under `serve`. List order is
+/// Document 6 order.
+macro_rules! serve_counters {
+    ($(
+        $field:ident: $family:literal $({$label:literal = $value:literal})?, $help:literal
+        $(=> $($key:literal)/+)?;
+    )*) => {
+        /// One handle per serve counter, each a cell of the registry.
+        pub struct ServeCounters {
+            $(#[doc = $help] pub $field: Counter,)*
+        }
+
+        impl ServeCounters {
+            fn register(r: &Registry) -> ServeCounters {
+                ServeCounters {
+                    $($field: r.counter_with($family, $help, &[$(($label, $value))?]),)*
+                }
+            }
+
+            /// Calls `f` with each counter, its family, its labels and its
+            /// Document 6 path (empty when Document 6 does not carry it).
+            fn each(&self, mut f: impl FnMut(&Counter, &str, &[(&str, &str)], &[&str])) {
+                $(f(&self.$field, $family, &[$(($label, $value))?], &[$($($key),+)?]);)*
+            }
+        }
+    };
+}
+
+serve_counters! {
+    requests: "fdip_serve_requests_total",
+        "HTTP requests received (any endpoint, any outcome)" => "requests";
+    grids_submitted: "fdip_serve_grids_submitted_total",
+        "Grids admitted past backpressure (including resumed ones)" => "grids" / "submitted";
+    grids_completed: "fdip_serve_grids_completed_total",
+        "Grids whose response was fully assembled" => "grids" / "completed";
+    grids_resumed: "fdip_serve_grids_resumed_total",
+        "Admitted grids that were journal replays after a restart" => "grids" / "resumed";
+    grids_interrupted: "fdip_serve_grids_interrupted_total",
+        "Grids cut short by a timeout, an injected crash, or a coalesced owner's failure"
+        => "grids" / "interrupted";
+    cells_served: "fdip_serve_cells_served_total",
+        "Cells returned to clients in completed grid responses" => "cells" / "served";
+    cells_cache_hits: "fdip_serve_cell_cache_hits_total",
+        "Served cells answered from the content-addressed cache" => "cells" / "cache_hits";
+    cells_cache_misses: "fdip_serve_cell_cache_misses_total",
+        "Served cells that were not already cached at classification" => "cells" / "cache_misses";
+    cells_simulated: "fdip_serve_cells_simulated_total",
+        "Cells simulated on this daemon's pool" => "cells" / "simulated";
+    cells_coalesced: "fdip_serve_cells_coalesced_total",
+        "Served cells that waited on another grid's in-flight simulation" => "cells" / "coalesced";
+    rejected_busy: "fdip_serve_grids_rejected_total" {"reason" = "busy"},
+        "Grids refused at admission, by reason" => "rejected" / "busy";
+    rejected_draining: "fdip_serve_grids_rejected_total" {"reason" = "draining"},
+        "Grids refused at admission, by reason" => "rejected" / "draining";
+    journal_replays: "fdip_serve_journal_replays_total",
+        "Incomplete grids replayed from the journal at startup";
+}
+
+/// The per-client families: Document 6 key, family and help text. Each
+/// completed grid adds to all three under its `client` label.
+const CLIENT_FAMILIES: [(&str, &str, &str); 3] = [
+    (
+        "requests",
+        "fdip_serve_client_requests_total",
+        "Completed grid requests, by client name",
+    ),
+    (
+        "cells",
+        "fdip_serve_client_cells_total",
+        "Cells served, by client name",
+    ),
+    (
+        "cache_hits",
+        "fdip_serve_client_cache_hits_total",
+        "Cache-hit cells served, by client name",
+    ),
+];
+
+/// The per-status response counter for `status`.
+fn responses(r: &Registry, status: &str) -> Counter {
+    r.counter_with(
+        "fdip_serve_responses_total",
+        "HTTP responses written, by status code",
+        &[("status", status)],
+    )
 }
 
 /// The daemon's telemetry state; one per [`crate::Server`], each with
@@ -32,96 +115,32 @@ pub struct ServeTelemetry {
     started: Timer,
     started_unix: u64,
     registry: Arc<Registry>,
-    requests: Counter,
-    grids_submitted: Counter,
-    grids_completed: Counter,
-    grids_resumed: Counter,
-    grids_interrupted: Counter,
-    rejected_busy: Counter,
-    rejected_draining: Counter,
-    cells_served: Counter,
-    cells_cache_hits: Counter,
-    cells_cache_misses: Counter,
-    cells_simulated: Counter,
-    cells_coalesced: Counter,
-    journal_replays: Counter,
-    inflight_grids: Gauge,
-    inflight_cells: Gauge,
+    /// The declared counters, bumped directly at their call sites.
+    pub counters: ServeCounters,
+    pub(crate) inflight_grids: Gauge,
+    pub(crate) inflight_cells: Gauge,
     queue_depth: HistogramHandle,
     request_duration: HistogramHandle,
     cell_sim_duration: HistogramHandle,
-    clients: Mutex<BTreeMap<String, ClientCells>>,
-}
-
-impl Default for ServeTelemetry {
-    fn default() -> Self {
-        ServeTelemetry::new()
-    }
 }
 
 impl ServeTelemetry {
     /// Creates zeroed telemetry stamped with the current wall clock.
     /// Every metric family is registered eagerly, so a scrape taken
     /// before any traffic already exposes the full schema.
+    #[expect(
+        clippy::new_without_default,
+        reason = "creation reads the wall clock, which a `Default` would hide"
+    )]
     pub fn new() -> ServeTelemetry {
         let r = Arc::new(Registry::new());
-        let t = ServeTelemetry {
+        // The per-status response family: register the common case so
+        // it appears in a cold scrape.
+        let _ = responses(&r, "200");
+        ServeTelemetry {
             started: Timer::start(),
             started_unix: unix_now_secs(),
-            requests: r.counter(
-                "fdip_serve_requests_total",
-                "HTTP requests received (any endpoint, any outcome)",
-            ),
-            grids_submitted: r.counter(
-                "fdip_serve_grids_submitted_total",
-                "Grids admitted past backpressure (including resumed ones)",
-            ),
-            grids_completed: r.counter(
-                "fdip_serve_grids_completed_total",
-                "Grids whose response was fully assembled",
-            ),
-            grids_resumed: r.counter(
-                "fdip_serve_grids_resumed_total",
-                "Admitted grids that were journal replays after a restart",
-            ),
-            grids_interrupted: r.counter(
-                "fdip_serve_grids_interrupted_total",
-                "Grids cut short by a timeout, an injected crash, or a coalesced owner's failure",
-            ),
-            rejected_busy: r.counter_with(
-                "fdip_serve_grids_rejected_total",
-                "Grids refused at admission, by reason",
-                &[("reason", "busy")],
-            ),
-            rejected_draining: r.counter_with(
-                "fdip_serve_grids_rejected_total",
-                "Grids refused at admission, by reason",
-                &[("reason", "draining")],
-            ),
-            cells_served: r.counter(
-                "fdip_serve_cells_served_total",
-                "Cells returned to clients in completed grid responses",
-            ),
-            cells_cache_hits: r.counter(
-                "fdip_serve_cell_cache_hits_total",
-                "Served cells answered from the content-addressed cache",
-            ),
-            cells_cache_misses: r.counter(
-                "fdip_serve_cell_cache_misses_total",
-                "Served cells that were not already cached at classification",
-            ),
-            cells_simulated: r.counter(
-                "fdip_serve_cells_simulated_total",
-                "Cells simulated on this daemon's pool",
-            ),
-            cells_coalesced: r.counter(
-                "fdip_serve_cells_coalesced_total",
-                "Served cells that waited on another grid's in-flight simulation",
-            ),
-            journal_replays: r.counter(
-                "fdip_serve_journal_replays_total",
-                "Incomplete grids replayed from the journal at startup",
-            ),
+            counters: ServeCounters::register(&r),
             inflight_grids: r.gauge(
                 "fdip_serve_inflight_grids",
                 "Grids currently admitted and executing",
@@ -142,17 +161,8 @@ impl ServeTelemetry {
                 "fdip_serve_cell_sim_duration_us",
                 "Wall-clock microseconds simulating one cell on a pool worker",
             ),
-            registry: Arc::clone(&r),
-            clients: Mutex::new(BTreeMap::new()),
-        };
-        // The per-status response family: register the common case so
-        // it appears in a cold scrape.
-        let _ = r.counter_with(
-            "fdip_serve_responses_total",
-            "HTTP responses written, by status code",
-            &[("status", "200")],
-        );
-        t
+            registry: r,
+        }
     }
 
     /// The registry behind both telemetry surfaces (`/v1/metrics`
@@ -161,63 +171,21 @@ impl ServeTelemetry {
         &self.registry
     }
 
-    /// Counts one HTTP request (any endpoint, any outcome).
-    pub fn on_request(&self) {
-        self.requests.inc();
-    }
-
     /// Counts one written response and its service latency.
     pub fn on_response(&self, status: u16, micros: u64) {
-        self.registry
-            .counter_with(
-                "fdip_serve_responses_total",
-                "HTTP responses written, by status code",
-                &[("status", &status.to_string())],
-            )
-            .inc();
+        responses(&self.registry, &status.to_string()).inc();
         self.request_duration.observe(micros);
     }
 
     /// Counts an accepted grid and samples the post-admission queue
     /// depth (in-flight grids, this one included).
     pub fn on_grid_admitted(&self, resumed: bool, inflight: u64) {
-        self.grids_submitted.inc();
+        self.counters.grids_submitted.inc();
         if resumed {
-            self.grids_resumed.inc();
+            self.counters.grids_resumed.inc();
         }
         self.queue_depth.observe(inflight);
         self.inflight_grids.set(inflight as f64);
-    }
-
-    /// Records a grid leaving the gate (any exit path).
-    pub fn on_grid_done(&self, inflight: u64) {
-        self.inflight_grids.set(inflight as f64);
-    }
-
-    /// Counts a grid whose response was fully assembled.
-    pub fn on_grid_completed(&self) {
-        self.grids_completed.inc();
-    }
-
-    /// Counts a grid cut short by a timeout, an injected crash, or a
-    /// coalesced owner's failure.
-    pub fn on_grid_interrupted(&self) {
-        self.grids_interrupted.inc();
-    }
-
-    /// Counts a rejected grid (`busy` = 429 backpressure, otherwise the
-    /// daemon was draining).
-    pub fn on_grid_rejected(&self, busy: bool) {
-        if busy {
-            self.rejected_busy.inc();
-        } else {
-            self.rejected_draining.inc();
-        }
-    }
-
-    /// Counts an incomplete grid picked up from the journal at startup.
-    pub fn on_journal_replay(&self) {
-        self.journal_replays.inc();
     }
 
     /// Accounts a completed grid's cells to the aggregate and per-client
@@ -226,40 +194,16 @@ impl ServeTelemetry {
     /// here (simulation itself is counted by
     /// [`ServeTelemetry::on_cell_simulated`]).
     pub fn on_cells_served(&self, client: &str, total: u64, hits: u64, coalesced: u64) {
-        self.cells_served.add(total);
-        self.cells_cache_hits.add(hits);
-        self.cells_cache_misses.add(total - hits);
-        self.cells_coalesced.add(coalesced);
-        let mut clients = self.clients.lock().expect("client lock");
-        let c = clients.entry(client.to_string()).or_insert_with(|| {
-            let labels: &[(&str, &str)] = &[("client", client)];
-            ClientCells {
-                requests: self.registry.counter_with(
-                    "fdip_serve_client_requests_total",
-                    "Completed grid requests, by client name",
-                    labels,
-                ),
-                cells: self.registry.counter_with(
-                    "fdip_serve_client_cells_total",
-                    "Cells served, by client name",
-                    labels,
-                ),
-                cache_hits: self.registry.counter_with(
-                    "fdip_serve_client_cache_hits_total",
-                    "Cache-hit cells served, by client name",
-                    labels,
-                ),
-            }
-        });
-        c.requests.inc();
-        c.cells.add(total);
-        c.cache_hits.add(hits);
-    }
-
-    /// Marks a cell simulation starting or finishing on a pool worker
-    /// (drives the in-flight cells gauge).
-    pub fn on_cell_sim_flight(&self, delta: f64) {
-        self.inflight_cells.add(delta);
+        let c = &self.counters;
+        c.cells_served.add(total);
+        c.cells_cache_hits.add(hits);
+        c.cells_cache_misses.add(total - hits);
+        c.cells_coalesced.add(coalesced);
+        for ((_, family, help), n) in CLIENT_FAMILIES.into_iter().zip([1, total, hits]) {
+            self.registry
+                .counter_with(family, help, &[("client", client)])
+                .add(n);
+        }
     }
 
     /// Counts one cell simulated on this daemon's pool (taking `micros`
@@ -267,7 +211,7 @@ impl ServeTelemetry {
     /// fault-injection hook keys off it).
     pub fn on_cell_simulated(&self, micros: u64) -> u64 {
         self.cell_sim_duration.observe(micros);
-        self.cells_simulated.inc()
+        self.counters.cells_simulated.inc()
     }
 
     /// Mirrors the worker pool's lifetime stats into the registry (the
@@ -314,55 +258,41 @@ impl ServeTelemetry {
         self.registry.render()
     }
 
-    /// Renders Document 6, the serve manifest (`docs/METRICS.md` §6).
-    /// Every value is read from the same registry cells `/v1/metrics`
-    /// samples.
+    /// Renders Document 6, the serve manifest (`docs/METRICS.md` §6):
+    /// the declared counters at their keys, then `clients`, sorted by
+    /// raw client name, from the `client`-labelled families.
     pub fn to_json(&self) -> Json {
-        let clients: Vec<Json> = self
-            .clients
-            .lock()
-            .expect("client lock")
-            .iter()
-            .map(|(name, c)| {
-                Json::obj()
-                    .with("client", name.as_str())
-                    .with("requests", c.requests.get())
-                    .with("cells", c.cells.get())
-                    .with("cache_hits", c.cache_hits.get())
-            })
-            .collect();
+        let mut serve = Json::obj()
+            .with("tool", "fdip-serve")
+            .with("started_unix", self.started_unix)
+            .with("uptime_seconds", self.started.elapsed_secs());
+        self.counters.each(|cell, _, _, path| match path {
+            [key] => {
+                serve.set(key, cell.get());
+            }
+            [group, key] => {
+                let mut inner = serve.get(group).cloned().unwrap_or_else(Json::obj);
+                inner.set(key, cell.get());
+                serve.set(group, inner);
+            }
+            _ => {}
+        });
+        let mut clients: BTreeMap<String, Json> = BTreeMap::new();
+        for (key, family, _) in CLIENT_FAMILIES {
+            for (labels, value) in self.registry.samples(family) {
+                if let ([(_, name)], SampleValue::Counter(n)) = (&labels[..], value) {
+                    clients
+                        .entry(name.clone())
+                        .or_insert_with(|| Json::obj().with("client", name.as_str()))
+                        .set(key, n);
+                }
+            }
+        }
         Json::obj().with("schema_version", SCHEMA_VERSION).with(
             "serve",
-            Json::obj()
-                .with("tool", "fdip-serve")
-                .with("started_unix", self.started_unix)
-                .with("uptime_seconds", self.started.elapsed_secs())
-                .with("requests", self.requests.get())
-                .with(
-                    "grids",
-                    Json::obj()
-                        .with("submitted", self.grids_submitted.get())
-                        .with("completed", self.grids_completed.get())
-                        .with("resumed", self.grids_resumed.get())
-                        .with("interrupted", self.grids_interrupted.get()),
-                )
-                .with(
-                    "cells",
-                    Json::obj()
-                        .with("served", self.cells_served.get())
-                        .with("cache_hits", self.cells_cache_hits.get())
-                        .with("cache_misses", self.cells_cache_misses.get())
-                        .with("simulated", self.cells_simulated.get())
-                        .with("coalesced", self.cells_coalesced.get()),
-                )
-                .with(
-                    "rejected",
-                    Json::obj()
-                        .with("busy", self.rejected_busy.get())
-                        .with("draining", self.rejected_draining.get()),
-                )
+            serve
                 .with("queue_depth", self.queue_depth.snapshot().to_json())
-                .with("clients", Json::Arr(clients)),
+                .with("clients", Json::Arr(clients.into_values().collect())),
         )
     }
 }
@@ -371,21 +301,21 @@ impl ServeTelemetry {
 mod tests {
     use super::*;
     use fdip_obs::expo;
-    use fdip_obs::metrics::SampleValue;
 
     fn drive(t: &ServeTelemetry) {
-        t.on_request();
-        t.on_request();
+        let c = &t.counters;
+        c.requests.inc();
+        c.requests.inc();
         t.on_response(200, 120);
         t.on_grid_admitted(false, 1);
         t.on_grid_admitted(true, 2);
-        t.on_grid_completed();
-        t.on_grid_interrupted();
-        t.on_grid_rejected(true);
-        t.on_grid_rejected(false);
+        c.grids_completed.inc();
+        c.grids_interrupted.inc();
+        c.rejected_busy.inc();
+        c.rejected_draining.inc();
         t.on_cells_served("alice", 6, 4, 1);
         t.on_cells_served("bob", 3, 0, 0);
-        t.on_journal_replay();
+        c.journal_replays.inc();
         assert_eq!(t.on_cell_simulated(50), 1);
         assert_eq!(t.on_cell_simulated(70), 2);
     }
@@ -433,9 +363,9 @@ mod tests {
         assert_eq!(clients[0].get("cells").and_then(Json::as_u64), Some(6));
     }
 
-    /// The drift regression: every Document 6 counter must equal the
-    /// corresponding `/v1/metrics` sample, because both read the same
-    /// registry cell.
+    /// The drift regression: each Document 6 counter must equal its
+    /// `/v1/metrics` sample. It walks the declared list and the client
+    /// families, so a counter added to either is checked too.
     #[test]
     fn document_six_equals_the_metrics_scrape() {
         let t = ServeTelemetry::new();
@@ -443,59 +373,95 @@ mod tests {
         let pool = fdip_exec::Pool::new(2);
         pool.run_batch((0..4u64).map(|i| move || i).collect::<Vec<_>>());
         let scrape = expo::validate(&t.render_metrics(&pool.stats())).expect("scrape validates");
+        let sample = |family: &str, labels: &[(&str, &str)]| {
+            scrape.families[family]
+                .samples
+                .iter()
+                .find(|smp| labels.iter().all(|&(k, v)| smp.label(k) == Some(v)))
+                .map(|smp| smp.value as u64)
+        };
 
         let doc = t.to_json();
         let s = doc.get("serve").unwrap();
-        let u64_at = |v: &Json, path: &[&str]| {
-            let mut cur = v.clone();
-            for p in path {
-                cur = cur.get(p).cloned().unwrap();
+        t.counters.each(|cell, family, labels, path| {
+            let scraped = sample(family, labels);
+            assert_eq!(scraped, Some(cell.get()), "{family} {labels:?}");
+            if !path.is_empty() {
+                let carried = path.iter().try_fold(s, |v, key| v.get(key));
+                assert_eq!(
+                    carried.and_then(Json::as_u64),
+                    scraped,
+                    "{family} {labels:?} drifted from Document 6 {path:?}"
+                );
             }
-            cur.as_u64().unwrap()
-        };
-        for (family, path) in [
-            ("fdip_serve_requests_total", &["requests"][..]),
-            ("fdip_serve_grids_submitted_total", &["grids", "submitted"]),
-            ("fdip_serve_grids_completed_total", &["grids", "completed"]),
-            ("fdip_serve_grids_resumed_total", &["grids", "resumed"]),
-            (
-                "fdip_serve_grids_interrupted_total",
-                &["grids", "interrupted"],
-            ),
-            ("fdip_serve_cells_served_total", &["cells", "served"]),
-            ("fdip_serve_cell_cache_hits_total", &["cells", "cache_hits"]),
-            (
-                "fdip_serve_cell_cache_misses_total",
-                &["cells", "cache_misses"],
-            ),
-            ("fdip_serve_cells_simulated_total", &["cells", "simulated"]),
-            ("fdip_serve_cells_coalesced_total", &["cells", "coalesced"]),
-        ] {
-            assert_eq!(
-                scrape.counter_total(family),
-                Some(u64_at(s, path)),
-                "{family} drifted from Document 6 {path:?}"
-            );
+        });
+        let clients = s.get("clients").and_then(Json::as_arr).unwrap();
+        assert_eq!(clients.len(), 2);
+        for client in clients {
+            let name = client.get("client").and_then(Json::as_str).unwrap();
+            for (key, family, _) in CLIENT_FAMILIES {
+                assert_eq!(
+                    client.get(key).and_then(Json::as_u64),
+                    sample(family, &[("client", name)]),
+                    "{family} drifted from Document 6 for {name}"
+                );
+            }
         }
-        // The labeled rejection family sums busy + draining.
-        assert_eq!(
-            scrape.counter_total("fdip_serve_grids_rejected_total"),
-            Some(u64_at(s, &["rejected", "busy"]) + u64_at(s, &["rejected", "draining"])),
-        );
-        // Per-client counters carry the client label.
-        let family = &scrape.families["fdip_serve_client_cells_total"];
-        let alice = family
-            .samples
-            .iter()
-            .find(|smp| smp.label("client") == Some("alice"))
-            .expect("alice sample");
-        assert_eq!(alice.value, 6.0);
         // The exec mirrors match the pool exactly.
         assert_eq!(
             scrape.counter_total("fdip_exec_jobs_completed_total"),
             Some(pool.stats().jobs_completed)
         );
         assert_eq!(scrape.gauge_value("fdip_exec_workers"), Some(2.0));
+    }
+
+    /// Pins Document 6 and the exposition byte for byte: every event
+    /// once or more, client names that sort differently raw and escaped,
+    /// and the two clock fields zeroed. `render_metrics` is not called,
+    /// since its exec mirror reads the wall clock.
+    #[test]
+    fn document_six_and_the_exposition_are_pinned() {
+        let t = ServeTelemetry::new();
+        let c = &t.counters;
+        c.requests.inc();
+        c.requests.inc();
+        t.on_response(200, 120);
+        t.on_response(404, 35);
+        t.on_grid_admitted(false, 1);
+        t.on_grid_admitted(true, 2);
+        t.inflight_grids.set(1.0);
+        c.grids_completed.inc();
+        c.grids_interrupted.inc();
+        c.rejected_busy.inc();
+        c.rejected_draining.inc();
+        c.journal_replays.inc();
+        for (client, total, hits, coalesced) in [
+            ("alice", 6, 4, 1),
+            ("bob", 3, 0, 0),
+            ("a\"q", 2, 1, 0),
+            ("a#", 4, 4, 0),
+            ("zed\\x", 1, 0, 1),
+            ("alice", 2, 2, 0),
+        ] {
+            t.on_cells_served(client, total, hits, coalesced);
+        }
+        t.inflight_cells.add(1.0);
+        assert_eq!(t.on_cell_simulated(50), 1);
+        assert_eq!(t.on_cell_simulated(70), 2);
+
+        let mut doc = t.to_json();
+        let mut serve = doc.get("serve").cloned().unwrap();
+        serve.set("started_unix", 0u64).set("uptime_seconds", 0.0);
+        doc.set("serve", serve);
+        let (doc, text) = (doc.to_string(), t.registry().render());
+        assert_eq!(
+            (
+                fdip_harness::remote::fnv1a64(doc.as_bytes()),
+                fdip_harness::remote::fnv1a64(text.as_bytes())
+            ),
+            (0x68c4_3367_0145_c3ee, 0xed2f_3a00_4504_2887),
+            "Document 6:\n{doc}\nexposition:\n{text}"
+        );
     }
 
     #[test]
@@ -523,7 +489,7 @@ mod tests {
     #[test]
     fn registry_samples_are_readable_programmatically() {
         let t = ServeTelemetry::new();
-        t.on_request();
+        t.counters.requests.inc();
         let samples = t.registry().samples("fdip_serve_requests_total");
         assert!(matches!(samples[0].1, SampleValue::Counter(1)));
     }

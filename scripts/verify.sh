@@ -111,7 +111,6 @@ if [ "$after" -ne $((before + 1)) ]; then
   exit 1
 fi
 ./target/release/fdip-serve ctl "$addr" telemetry > "$tmp/serve-telemetry.json"
-grep -q '"cache_hits"' "$tmp/serve-telemetry.json"
 # Observability smoke (docs/OBSERVABILITY.md "Enforcement"): ctl metrics
 # exits nonzero unless the scrape passes the in-repo exposition
 # validator; the scrape must cover the catalog's breadth; ctl tail must
@@ -125,6 +124,29 @@ if [ "$families" -lt 12 ]; then
   exit 1
 fi
 grep -q '^fdip_serve_cells_simulated_total ' "$tmp/serve-metrics.txt"
+# Document 6 is a view of the registry: each value the benchmark's traced
+# serve run reads, and grids completed, must equal its scrape family.
+# doc6 <group> <key> prints serve.<group>.<key> from the pretty-printed
+# ctl telemetry output.
+doc6() {
+  awk -v group="\"$1\":" -v key="\"$2\":" '
+    $1 == group && $2 == "{" { inside = 1; next }
+    inside && $1 == key { sub(/,$/, "", $2); print $2; exit }
+    inside && $1 ~ /^}/ { inside = 0 }' "$tmp/serve-telemetry.json"
+}
+for pair in cells.cache_hits=fdip_serve_cell_cache_hits_total \
+  cells.cache_misses=fdip_serve_cell_cache_misses_total \
+  cells.simulated=fdip_serve_cells_simulated_total \
+  cells.coalesced=fdip_serve_cells_coalesced_total \
+  grids.completed=fdip_serve_grids_completed_total; do
+  path="${pair%%=*}" family="${pair#*=}"
+  doc="$(doc6 "${path%.*}" "${path#*.}")"
+  scraped="$(awk -v f="$family" '$1 == f { print $2 }' "$tmp/serve-metrics.txt")"
+  if [ -z "$doc" ] || [ "$doc" != "$scraped" ]; then
+    echo "Document 6 serve.$path is '$doc' but $family scrapes '$scraped'" >&2
+    exit 1
+  fi
+done
 ./target/release/fdip-serve ctl "$addr" tail --limit 1024 > "$tmp/serve-tail.txt"
 grep -q 'grid admitted' "$tmp/serve-tail.txt"
 ls "$tmp"/serve-traces/grid-*.json > /dev/null

@@ -54,13 +54,13 @@ fn every_serve_manifest_field_is_documented() {
     // Document 6: the serve manifest from `GET /v1/telemetry`, with
     // every counter group populated so every key is emitted.
     let t = fdip_serve::telemetry::ServeTelemetry::new();
-    t.on_request();
+    t.counters.requests.inc();
     t.on_grid_admitted(false, 1);
     t.on_grid_admitted(true, 2);
-    t.on_grid_completed();
-    t.on_grid_interrupted();
-    t.on_grid_rejected(true);
-    t.on_grid_rejected(false);
+    t.counters.grids_completed.inc();
+    t.counters.grids_interrupted.inc();
+    t.counters.rejected_busy.inc();
+    t.counters.rejected_draining.inc();
     t.on_cells_served("metrics-doc-test", 6, 2, 1);
     t.on_cell_simulated(1_250);
     let emitted = t.to_json();

@@ -5,9 +5,7 @@
 //!   `/v1/metrics` scrape exposes appears in the doc's catalog tables,
 //!   with the same type, and its samples only carry documented labels;
 //! * **documented → real**: every documented `fdip_serve_` /
-//!   `fdip_exec_` family shows up on the scrape, and every documented
-//!   `fdip_client_` family is registered in the process-global registry
-//!   once the remote client paths have been exercised.
+//!   `fdip_exec_` family shows up on the scrape.
 //!
 //! The catalog rows are parsed straight out of the markdown tables, so
 //! renaming a metric without updating the doc (or vice versa) fails here.
@@ -18,7 +16,6 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use fdip_harness::remote::{http_text_request, RemoteClient, METRICS_PATH};
-use fdip_harness::Runner;
 use fdip_obs::expo;
 use fdip_serve::{Server, ServerConfig};
 use fdip_sim::CoreConfig;
@@ -119,37 +116,4 @@ fn the_daemon_catalog_matches_a_live_scrape_bidirectionally() {
 
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn the_client_catalog_matches_the_global_registry_bidirectionally() {
-    let catalog = documented_families();
-
-    // Exercise both client paths: a served grid (outcome `ok`, cells
-    // received) and a fallback to local execution after a daemon error.
-    let dir = state_dir("client");
-    let mut config = ServerConfig::new(dir.clone());
-    config.jobs = Some(2);
-    let server = Server::spawn(config).expect("server spawns");
-    let addr = server.addr().to_string();
-    RemoteClient::new(&addr, "obs-doc-client")
-        .run_grid("quick", 500, 2_000, &[CoreConfig::fdp()], 3)
-        .expect("grid served");
-    server.stop();
-    std::fs::remove_dir_all(&dir).ok();
-    // Port 1 refuses connections; the runner must fall back locally.
-    let fallback = Runner::quick(500, 2_000).with_server("127.0.0.1:1", "obs-doc-fallback");
-    let local = fallback.run_configs_detailed(&[CoreConfig::fdp()]);
-    assert_eq!(local.len(), 1);
-
-    // The global registry renders valid exposition too, and its client
-    // families match the catalog in both directions.
-    let scrape = expo::validate(&fdip_obs::metrics::global().render())
-        .expect("global registry renders valid exposition");
-    assert_catalog_matches(&scrape, &catalog, &["fdip_client_"], "client");
-    assert_eq!(
-        scrape.counter_total("fdip_client_fallbacks_total"),
-        Some(1),
-        "the refused daemon must be counted as a fallback"
-    );
 }

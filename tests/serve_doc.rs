@@ -241,21 +241,30 @@ fn documented_error_codes_behave_as_written() {
     // large as the whole data set (8 MiB) once panicked inside the daemon
     // (no reply, and a drain that never finished), and 2^32 + 9 was
     // truncated to TAGE size 9 and answered 200.
-    for (group, key, value) in [
+    let configs = [
         ("btb", "assoc", 0u64),
         ("direction", "entries_log2", 40),
         ("direction", "entries_log2", 4_294_967_305),
         ("backend", "data_hot_bytes", 8 << 20),
-    ] {
+    ]
+    .map(|(group, key, value)| {
         let mut cfg = config_to_json(&CoreConfig::fdp());
         let mut inner = cfg.get(group).cloned().unwrap();
         inner.set(key, value);
         cfg.set(group, inner);
-        let body = grid_request("t", "quick", 500, 2_000, &[])
-            .with("configs", vec![cfg])
-            .to_string();
+        let request = grid_request("t", "quick", 500, 2_000, &[]).with("configs", vec![cfg]);
+        (format!("{key}: {value}"), request)
+    });
+    // And on a client name outside the documented rule: a 1 MiB name was
+    // answered 200 and then carried by every scrape and Document 6.
+    let clients = ["x".repeat(1 << 20), "a b".to_string()].map(|client| {
+        let request = grid_request(&client, "quick", 500, 2_000, &[CoreConfig::fdp()]);
+        (format!("a {}-byte client", client.len()), request)
+    });
+    for (what, request) in configs.into_iter().chain(clients) {
+        let body = request.to_string();
         // Raw bytes with a read deadline: a daemon that panics on the
-        // config never answers, and the test must fail, not hang.
+        // request never answers, and the test must fail, not hang.
         let mut stream = TcpStream::connect(&addr).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(60)))
@@ -268,12 +277,10 @@ fn documented_error_codes_behave_as_written() {
         .unwrap();
         let mut reply = String::new();
         stream.read_to_string(&mut reply).unwrap();
-        assert!(
-            reply.starts_with("HTTP/1.1 400 "),
-            "{key}: {value}: {reply}"
-        );
-        assert!(reply.contains("\"bad_request\""), "{key}: {value}: {reply}");
+        assert!(reply.starts_with("HTTP/1.1 400 "), "{what}: {reply}");
+        assert!(reply.contains("\"bad_request\""), "{what}: {reply}");
     }
+    assert!(support::doc("SERVE.md").contains("1–64 bytes of ASCII letters"));
     assert!(support::doc("SERVE.md").contains("outside the documented range"));
 
     // 413 too_large on a request head past the 64 KiB limit: a 1 MiB
