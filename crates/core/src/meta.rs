@@ -227,6 +227,17 @@ impl StaticMeta {
         self.tags[idx]
     }
 
+    /// Number of consecutive non-branch slots from `idx`, at most `max`.
+    /// The run stops before the image's last slot, whose committed
+    /// successor is the entry point rather than the next slot.
+    #[inline]
+    pub fn straight_run(&self, idx: usize, max: usize) -> usize {
+        let end = (idx + max).min(self.tags.len().saturating_sub(1));
+        self.tags.get(idx..end).map_or(0, |tags| {
+            tags.iter().take_while(|&&t| !tag_is_branch(t)).count()
+        })
+    }
+
     /// Property bits of slot `idx`.
     #[inline]
     pub fn flags(&self, idx: usize) -> u8 {
