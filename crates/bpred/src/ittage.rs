@@ -81,23 +81,24 @@ pub struct Ittage {
     config: IttageConfig,
     base: Vec<Addr>,
     tables: Vec<Vec<IttEntry>>,
+    /// First fold slot: component `i`'s index fold is slot `fold_base +
+    /// i`, its tag fold slot `fold_base + fold_stride + i`.
     fold_base: usize,
+    fold_stride: usize,
     lfsr: u64,
 }
 
 impl Ittage {
     /// Builds the predictor and registers its folds on `plan`.
     pub fn new(config: IttageConfig, plan: &mut FoldPlan) -> Self {
-        let fold_base = plan.len();
-        for &len in &config.hist_lens {
-            plan.register(len, config.entries_log2);
-            plan.register(len, config.tag_bits);
-        }
+        let (fold_base, fold_stride) =
+            plan.register_set(&config.hist_lens, &[config.entries_log2, config.tag_bits]);
         Ittage {
             config,
             base: vec![Addr::NULL; 1 << config.base_log2],
             tables: vec![vec![IttEntry::default(); 1 << config.entries_log2]; 4],
             fold_base,
+            fold_stride,
             lfsr: 0xbead_cafe_1234_5678,
         }
     }
@@ -113,13 +114,13 @@ impl Ittage {
 
     fn index(&self, pc: Addr, folds: &FoldedHistories, i: usize) -> usize {
         let h = pc.raw() >> 2;
-        let f = folds.get(self.fold_base + 2 * i) as u64;
+        let f = folds.get(self.fold_base + i) as u64;
         ((h ^ (h >> 7) ^ f ^ ((i as u64) << 2)) as usize) & ((1 << self.config.entries_log2) - 1)
     }
 
     fn tag(&self, pc: Addr, folds: &FoldedHistories, i: usize) -> u16 {
         let h = pc.raw() >> 2;
-        let f = folds.get(self.fold_base + 2 * i + 1) as u64;
+        let f = folds.get(self.fold_base + self.fold_stride + i) as u64;
         ((h ^ (f << 1) ^ (h >> 11)) as u16) & ((1u16 << self.config.tag_bits) - 1)
     }
 
