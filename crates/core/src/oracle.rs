@@ -51,7 +51,7 @@ pub struct Oracle<'p> {
 impl<'p> Oracle<'p> {
     /// Wraps an execution engine positioned at its entry point.
     pub fn new(engine: ExecutionEngine<'p>) -> Self {
-        let cap = 4096usize;
+        let cap = 1024usize;
         Oracle {
             engine,
             buf: vec![DUMMY; cap],
@@ -172,7 +172,7 @@ mod tests {
     fn window_grows_past_initial_capacity_without_losing_entries() {
         let p = ProgramBuilder::new(params()).build("p");
         let mut o = Oracle::new(ExecutionEngine::new(&p, 7));
-        // Hold everything (no release) well past the 4096 initial ring.
+        // Hold everything (no release) well past the 1024 initial ring.
         let last = 10_000u64;
         let d0 = *o.get(0);
         o.get(last);
