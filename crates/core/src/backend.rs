@@ -1,13 +1,16 @@
-//! Backend building blocks: in-flight instruction records, the ROB
-//! entry, unresolved-branch records, and the synthetic data-address
-//! generator for the load/store stream.
+//! Backend building blocks: the in-flight instruction record,
+//! unresolved-branch records, and the synthetic data-address generator
+//! for the load/store stream.
 
 use crate::ftq::BranchId;
 use fdip_types::{Addr, BranchKind, Cycle};
 
-/// An instruction travelling from fetch to dispatch (the decode queue).
+/// An instruction from fetch to retirement. It is written once, at
+/// fetch, into the simulator's in-flight ring: it sits in the decode
+/// queue until dispatch stamps `complete_at` and hands its branch record
+/// on, and then in the ROB until it retires.
 #[derive(Copy, Clone, Debug)]
-pub struct FetchedInstr {
+pub struct InFlight {
     /// Monotonic fetch id (program order).
     pub id: u64,
     /// Program counter.
@@ -17,23 +20,9 @@ pub struct FetchedInstr {
     /// Committed-path sequence number, if on the correct path.
     pub seq: Option<u64>,
     /// Branch speculation record in the simulator's slab (actual
-    /// branches only).
+    /// branches, until dispatch).
     pub branch: Option<BranchId>,
-}
-
-/// A ROB entry (timing-only; branch metadata lives in
-/// [`UnresolvedBranch`]).
-#[derive(Copy, Clone, Debug)]
-pub struct RobEntry {
-    /// Fetch id (program order).
-    pub id: u64,
-    /// Committed-path sequence number, if on the correct path.
-    pub seq: Option<u64>,
-    /// Is this an actual branch?
-    pub is_branch: bool,
-    /// Is this a conditional branch?
-    pub is_cond: bool,
-    /// Cycle at which execution completes.
+    /// Cycle at which execution completes (set at dispatch).
     pub complete_at: Cycle,
 }
 
