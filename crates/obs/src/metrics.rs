@@ -264,16 +264,6 @@ impl Registry {
         }
     }
 
-    /// Every registered family name, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.families
-            .lock()
-            .expect("registry lock")
-            .keys()
-            .cloned()
-            .collect()
-    }
-
     /// Current samples of one family: `(labels, value)` pairs in
     /// deterministic label order. Empty if the name is unknown.
     pub fn samples(&self, name: &str) -> Vec<(Vec<(String, String)>, SampleValue)> {
