@@ -24,6 +24,12 @@ cargo build --release --offline --workspace
 echo "==> cargo test"
 cargo test -q --offline --workspace
 
+echo "==> result identity in release builds"
+# The benchmark runs release code, while the tests above run at
+# opt-level 2 with debug assertions and overflow checks. The pinned
+# digests must hold in both builds.
+cargo test -q --release --offline --test result_identity --test loop_identity
+
 echo "==> determinism smoke: FDIP_JOBS=1 vs FDIP_JOBS=2"
 # A quick-suite experiments run must produce byte-identical JSON for any
 # worker count once the volatile manifest fields are stripped
